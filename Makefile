@@ -56,19 +56,10 @@ chaos:
 	HITL_CHAOS=1 HITL_CHAOS_OUT=$(CURDIR)/CHAOS_metrics.txt \
 		$(GO) test -race -run TestChaosSoak -count=1 -v ./internal/server
 
-# bench-diff compares the current engine benchmarks against the committed
-# baseline. With benchstat installed it gets a proper statistical
-# comparison of fresh BenchmarkRun samples against bench_baseline.txt;
-# otherwise hitl-bench prints its own configuration-by-configuration diff
-# against the committed BENCH_sim.json.
+# bench-diff prints hitl-bench's configuration-by-configuration diff of
+# fresh engine numbers against the committed BENCH_sim.json.
 bench-diff:
-	@if command -v benchstat >/dev/null 2>&1; then \
-		$(GO) test ./internal/sim/ -run '^$$' -bench BenchmarkRun -benchmem -count 5 > bench_new.txt && \
-		benchstat bench_baseline.txt bench_new.txt && rm -f bench_new.txt; \
-	else \
-		echo "benchstat not found; using hitl-bench -diff against BENCH_sim.json" >&2; \
-		$(GO) run ./cmd/hitl-bench -baseline BENCH_sim.json -diff -out /dev/null; \
-	fi
+	$(GO) run ./cmd/hitl-bench -baseline BENCH_sim.json -diff -out /dev/null
 
 # scenarios-smoke drives every example spec end to end through the hitl-sim
 # CLI — the declarative path: parse, validate against the registry schema,
@@ -123,7 +114,7 @@ fmt:
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1
 
-# BENCH_sim.json and bench_baseline.txt are committed artifacts; clean
-# only removes scratch files.
+# BENCH_sim.json is a committed artifact; clean only removes scratch
+# files.
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_new.txt BENCH_check.json CHAOS_metrics.txt
+	rm -f cover.out test_output.txt bench_output.txt BENCH_check.json CHAOS_metrics.txt

@@ -333,11 +333,12 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 	// never collects per-encounter traces; pooled receivers keep the
 	// multi-day loop allocation-free.
 	pool := receiverPool(false)
+	legit := newPoisson(c.LegitPerDay)
 	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := c.Population.Sample(rng)
 		// Targeted volume: susceptible subjects (low expertise) see more
 		// phish, savvy ones less, symmetric around the 0.5 midpoint.
-		phishMean := c.PhishPerDay * (1 + c.Targeting*(0.5-prof.Expertise()))
+		phish := newPoisson(c.PhishPerDay * (1 + c.Targeting*(0.5-prof.Expertise())))
 		r := pool.Get().(*agent.Receiver)
 		defer pool.Put(r)
 		r.Reset(prof)
@@ -346,7 +347,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 		var firstFailure agent.Stage = agent.StageNone
 		for day := 0; day < c.Days; day++ {
 			// Legitimate emails that false-positive the warning.
-			nLegit := poisson(rng, c.LegitPerDay)
+			nLegit := legit.sample(rng)
 			for e := 0; e < nLegit; e++ {
 				if rng.Float64() >= c.DetectorFPR {
 					continue
@@ -362,7 +363,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 				falseAlarms++
 			}
 			// Phishing emails.
-			nPhish := poisson(rng, phishMean)
+			nPhish := phish.sample(rng)
 			for e := 0; e < nPhish; e++ {
 				phishSeen++
 				if rng.Float64() >= effTPR {
@@ -454,17 +455,22 @@ func selfDetects(rng *rand.Rand, r *agent.Receiver, day, lookalike float64) bool
 	return rng.Float64() < p
 }
 
-// poisson samples a Poisson count via Knuth's method; fine for small means.
-func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
+// poisson samples Poisson counts of one mean via Knuth's method; fine for
+// small means. Knuth's stopping threshold exp(-mean) is computed once per
+// mean rather than once per sample.
+type poisson struct{ mean, limit float64 }
+
+func newPoisson(mean float64) poisson { return poisson{mean: mean, limit: math.Exp(-mean)} }
+
+func (d poisson) sample(rng *rand.Rand) int {
+	if d.mean <= 0 {
 		return 0
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= d.limit {
 			return k
 		}
 		k++

@@ -259,13 +259,14 @@ func TestCampaignTrainedPopulationSelfDetects(t *testing.T) {
 
 func TestPoisson(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if poisson(rng, 0) != 0 {
+	if newPoisson(0).sample(rng) != 0 {
 		t.Error("poisson(0) must be 0")
 	}
 	var sum int
 	const n = 20000
+	three := newPoisson(3)
 	for i := 0; i < n; i++ {
-		sum += poisson(rng, 3)
+		sum += three.sample(rng)
 	}
 	mean := float64(sum) / n
 	if mean < 2.9 || mean > 3.1 {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -65,4 +67,39 @@ func BenchmarkRun(b *testing.B) {
 		}
 		b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "subjects/s")
 	})
+}
+
+// sourceSink keeps BenchmarkSource's draws observable to the compiler.
+var sourceSink float64
+
+// BenchmarkSource times one subject stream's worth of generator work:
+// Seed plus k Float64 draws, on one source reused across subjects as the
+// engine's workers reuse theirs. The k values are the corpus's measured
+// draws per subject: phishing-study ~20, the password specs ~35,
+// phishing-adaptive-campaign ~530, phishing-campaign ~800. The stdlib row
+// is the reference the engine's source must match bit for bit.
+func BenchmarkSource(b *testing.B) {
+	sources := []struct {
+		name string
+		new  func() rand.Source
+	}{
+		{"stdlib", func() rand.Source { return rand.NewSource(1) }},
+		{"rngSource", func() rand.Source { return &rngSource{} }},
+	}
+	for _, k := range []int{20, 35, 530, 800} {
+		for _, s := range sources {
+			b.Run(fmt.Sprintf("k=%d/%s", k, s.name), func(b *testing.B) {
+				src := s.new()
+				rng := rand.New(src)
+				var sum float64
+				for i := 0; i < b.N; i++ {
+					src.Seed(splitmix64(1, i))
+					for j := 0; j < k; j++ {
+						sum += rng.Float64()
+					}
+				}
+				sourceSink = sum
+			})
+		}
+	}
 }

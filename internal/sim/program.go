@@ -91,7 +91,7 @@ func (ru Runner) RunProgram(ctx context.Context, p *Program) (*Result, error) {
 	if p == nil || p.Params == nil {
 		return nil, fmt.Errorf("sim: nil program")
 	}
-	return ru.run(ctx, p.subject(), EngineCompiled, newJumpSource)
+	return ru.run(ctx, p.subject(), EngineCompiled)
 }
 
 // Distribution is the exact per-subject outcome law of an

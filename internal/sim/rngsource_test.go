@@ -1,39 +1,39 @@
 package sim
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestFastSourceMatchesStdlib locks down the engine's core determinism
-// claim: fastSource produces exactly the stream of rand.NewSource for any
-// seed, so pooled re-seeding reproduces SubjectRand's historical streams
-// bit-for-bit.
-func TestFastSourceMatchesStdlib(t *testing.T) {
+// TestSourceMatchesStdlib locks down the engine's core determinism claim:
+// rngSource produces exactly the stream of rand.NewSource for any seed, so
+// pooled re-seeding reproduces SubjectRand's streams bit-for-bit — at the
+// raw Uint64 level across several state wraps, and through the rand.Rand
+// draws scenarios consume.
+func TestSourceMatchesStdlib(t *testing.T) {
 	seeds := []int64{0, 1, -1, 89482311, 20080124, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
 	pick := rand.New(rand.NewSource(12345))
 	for i := 0; i < 50; i++ {
 		seeds = append(seeds, pick.Int63()-pick.Int63())
 	}
 
-	fast := &fastSource{}
+	src := &rngSource{}
 	for _, seed := range seeds {
 		std := rand.NewSource(seed).(rand.Source64)
-		fast.Seed(seed)
-		// Cover more than a full 607-word state cycle so the feedback
-		// path is exercised, not just the freshly seeded words.
+		src.Seed(seed)
 		for i := 0; i < 2000; i++ {
-			if got, want := fast.Uint64(), std.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: fastSource.Uint64() = %d, stdlib = %d", seed, i, got, want)
+			if got, want := src.Uint64(), std.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: rngSource.Uint64() = %d, stdlib = %d", seed, i, got, want)
 			}
 		}
 	}
 
-	// Through rand.New, derived draws (Float64, NormFloat64, Intn) must
-	// match too — these are what scenarios actually consume.
 	for _, seed := range seeds[:8] {
-		fast.Seed(seed)
-		a := rand.New(fast)
+		src.Seed(seed)
+		a := rand.New(src)
 		b := rand.New(rand.NewSource(seed))
 		for i := 0; i < 500; i++ {
 			if x, y := a.Float64(), b.Float64(); x != y {
@@ -45,93 +45,82 @@ func TestFastSourceMatchesStdlib(t *testing.T) {
 			if x, y := a.Intn(97), b.Intn(97); x != y {
 				t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, x, y)
 			}
-		}
-	}
-
-	// Re-seeding a used source must be indistinguishable from a fresh one.
-	fast.Seed(7)
-	for i := 0; i < 1000; i++ {
-		fast.Uint64()
-	}
-	fast.Seed(42)
-	std := rand.NewSource(42).(rand.Source64)
-	for i := 0; i < 1000; i++ {
-		if got, want := fast.Uint64(), std.Uint64(); got != want {
-			t.Fatalf("re-seeded draw %d: %d != %d", i, got, want)
 		}
 	}
 }
 
-// TestJumpSourceMatchesStdlib holds the lazily-materialized jump source to
-// the same standard: bit-identical streams to rand.NewSource at every
-// seed, across state-cycle wrap-around (where half-materialized state
-// words meet written-back ones) and across re-seeding.
-func TestJumpSourceMatchesStdlib(t *testing.T) {
-	seeds := []int64{0, 1, -1, 89482311, 20080124, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
-	pick := rand.New(rand.NewSource(54321))
-	for i := 0; i < 50; i++ {
-		seeds = append(seeds, pick.Int63()-pick.Int63())
-	}
-
-	jump := &jumpSource{}
-	for _, seed := range seeds {
-		std := rand.NewSource(seed).(rand.Source64)
-		jump.Seed(seed)
-		// Short prefixes are the production shape (a subject consumes a few
-		// dozen draws); 2000 draws also cover three full state wraps so the
-		// feedback writes interleave with on-demand materialization.
-		for i := 0; i < 2000; i++ {
-			if got, want := jump.Uint64(), std.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: jumpSource.Uint64() = %d, stdlib = %d", seed, i, got, want)
-			}
+// TestSourceTransitions reuses one source across streams whose lengths
+// straddle the lazy-to-filled switch and the 607-word wrap. Every ordered
+// pair of lengths runs back to back, in random order, so a short stream
+// follows a long one (Seed fills eagerly on the prediction) and a long one
+// follows a short one (the lazy draws switch mid-stream). Each stream must
+// be the stdlib's through both Int63 and Uint64, and Seed must predict
+// from the previous stream's length exactly, wraps included.
+func TestSourceTransitions(t *testing.T) {
+	lengths := []int{3, 20, lazyDraws - 1, lazyDraws, lazyDraws + 1, 606, 607, 608, 2000}
+	type pair struct{ a, b int }
+	var pairs []pair
+	for _, a := range lengths {
+		for _, b := range lengths {
+			pairs = append(pairs, pair{a, b})
 		}
 	}
+	order := rand.New(rand.NewSource(99))
+	order.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 
-	// Derived draws through rand.New, as scenarios consume them.
-	for _, seed := range seeds[:8] {
-		jump.Seed(seed)
-		a := rand.New(jump)
-		b := rand.New(rand.NewSource(seed))
-		for i := 0; i < 500; i++ {
-			if x, y := a.Float64(), b.Float64(); x != y {
-				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, x, y)
+	src := &rngSource{}
+	prev, subject := 0, 0
+	for _, p := range pairs {
+		for _, k := range []int{p.a, p.b} {
+			seed := splitmix64(7, subject)
+			subject++
+			src.Seed(seed)
+			if want := prev > lazyDraws; (src.edge < 0) != want {
+				t.Fatalf("Seed after a %d-draw stream: filled = %v, want %v", prev, src.edge < 0, want)
 			}
-			if x, y := a.NormFloat64(), b.NormFloat64(); x != y {
-				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, x, y)
+			std := rand.NewSource(seed).(rand.Source64)
+			for i := 0; i < k; i++ {
+				var got, want uint64
+				if i%3 == 0 {
+					got, want = uint64(src.Int63()), uint64(std.Int63())
+				} else {
+					got, want = src.Uint64(), std.Uint64()
+				}
+				if got != want {
+					t.Fatalf("%d-draw stream after a %d-draw one, draw %d: %d, stdlib %d", k, prev, i, got, want)
+				}
 			}
-			if x, y := a.Intn(97), b.Intn(97); x != y {
-				t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, x, y)
-			}
+			prev = k
 		}
 	}
+}
 
-	// Re-seeding after a partial and after a wrapped stream must both be
-	// indistinguishable from a fresh source: stale valid bits or vec words
-	// from the prior seed may not leak.
-	for _, used := range []int{3, 1000} {
-		jump.Seed(7)
-		for i := 0; i < used; i++ {
-			jump.Uint64()
-		}
-		jump.Seed(42)
-		std := rand.NewSource(42).(rand.Source64)
-		for i := 0; i < 1000; i++ {
-			if got, want := jump.Uint64(), std.Uint64(); got != want {
-				t.Fatalf("re-seeded (after %d draws) draw %d: %d != %d", used, i, got, want)
+// TestRunStreamsMatchStdlib holds the engine to the stream contract: every
+// Run subject sees exactly the stdlib stream of its global index, whatever
+// stream lengths its worker's earlier subjects drew, at any worker count
+// and under a shard's subject offset.
+func TestRunStreamsMatchStdlib(t *testing.T) {
+	lengths := []int{3, 20, lazyDraws, lazyDraws + 1, 607, 800}
+	const seed = 11
+	f := func(rng *rand.Rand, g int) (Outcome, error) {
+		k := lengths[uint64(splitmix64(3, g))%uint64(len(lengths))]
+		std := rand.New(rand.NewSource(splitmix64(seed, g)))
+		for i := 0; i < k; i++ {
+			if got, want := rng.Float64(), std.Float64(); got != want {
+				return Outcome{}, fmt.Errorf("%d-draw stream, draw %d: %v, stdlib %v", k, i, got, want)
 			}
 		}
+		return Outcome{Heeded: true}, nil
 	}
-
-	// The jump source must agree with fastSource too (the interpreted
-	// path's eager implementation) — they are two implementations of one
-	// stream contract.
-	fast := &fastSource{}
-	for _, seed := range seeds[:12] {
-		jump.Seed(seed)
-		fast.Seed(seed)
-		for i := 0; i < 700; i++ {
-			if got, want := jump.Uint64(), fast.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: jumpSource %d != fastSource %d", seed, i, got, want)
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		for _, offset := range []int{0, 1000} {
+			ctx := WithSubjectOffset(context.Background(), offset)
+			res, err := Runner{Seed: seed, N: 300, Workers: workers}.Run(ctx, f)
+			if err != nil {
+				t.Fatalf("workers %d offset %d: %v", workers, offset, err)
+			}
+			if res.Heed.Successes != 300 {
+				t.Fatalf("workers %d offset %d: %d of 300 subjects finished", workers, offset, res.Heed.Successes)
 			}
 		}
 	}

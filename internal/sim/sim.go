@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -173,10 +172,10 @@ func splitmix64(seed int64, i int) int64 {
 // SubjectRand returns the deterministic random stream for subject i of a
 // run seeded with seed. Exposed so scenarios can pre-sample population
 // profiles consistently with Run. The stream is bit-identical to
-// rand.New(rand.NewSource(splitmix64(seed, i))) but seeds about twice as
-// fast (see fastSource).
+// rand.New(rand.NewSource(splitmix64(seed, i))) but seeds in O(1) (see
+// rngSource).
 func SubjectRand(seed int64, i int) *rand.Rand {
-	src := &fastSource{}
+	src := &rngSource{}
 	src.Seed(splitmix64(seed, i))
 	return rand.New(src)
 }
@@ -358,7 +357,6 @@ func (ru Runner) aggregate(shards []shard, completed int) *Result {
 		Values:        make(map[string][]float64),
 	}
 	res.Heed.Trials = completed
-	mergedValues := make(map[string][]valueObs)
 	for w := range shards {
 		sh := &shards[w]
 		res.Heed.Successes += sh.heedSuccesses
@@ -370,22 +368,46 @@ func (ru Runner) aggregate(shards []shard, completed int) *Result {
 		for c, n := range sh.errorClasses {
 			res.ErrorClasses[c] += n
 		}
-		for k, obs := range sh.values {
-			mergedValues[k] = append(mergedValues[k], obs...)
+		for k := range sh.values {
+			if _, ok := res.Values[k]; !ok {
+				res.Values[k] = mergeValues(shards, k)
+			}
 		}
-	}
-	// Each subject contributes at most one observation per key (Values is
-	// a map), so sorting by subject index restores the documented
-	// subject-order guarantee exactly.
-	for k, obs := range mergedValues {
-		sort.Slice(obs, func(a, b int) bool { return obs[a].subject < obs[b].subject })
-		xs := make([]float64, len(obs))
-		for i, o := range obs {
-			xs[i] = o.v
-		}
-		res.Values[k] = xs
 	}
 	return res
+}
+
+// mergeValues merges every shard's observations of key k into subject
+// order. A worker claims subject indexes from a rising counter, so each
+// shard's list is already in subject order, and each subject contributes
+// at most one observation per key (Values is a map): repeatedly taking
+// the lowest head restores the documented order exactly, without a sort.
+func mergeValues(shards []shard, k string) []float64 {
+	var lists [][]valueObs
+	total := 0
+	for w := range shards {
+		if obs := shards[w].values[k]; len(obs) > 0 {
+			lists = append(lists, obs)
+			total += len(obs)
+		}
+	}
+	xs := make([]float64, 0, total)
+	for len(lists) > 1 {
+		m := 0
+		for j := 1; j < len(lists); j++ {
+			if lists[j][0].subject < lists[m][0].subject {
+				m = j
+			}
+		}
+		xs = append(xs, lists[m][0].v)
+		if lists[m] = lists[m][1:]; len(lists[m]) == 0 {
+			lists = append(lists[:m], lists[m+1:]...)
+		}
+	}
+	for _, o := range lists[0] {
+		xs = append(xs, o.v)
+	}
+	return xs
 }
 
 // Run executes f for every subject and aggregates the outcomes.
@@ -419,25 +441,14 @@ func (ru Runner) aggregate(shards []shard, completed int) *Result {
 // and histograms (subjects, stage failures, run duration, throughput) are
 // always recorded; they cost a handful of atomic adds per run.
 func (ru Runner) Run(ctx context.Context, f SubjectFunc) (*Result, error) {
-	return ru.run(ctx, f, EngineInterpreted, newFastSource)
+	return ru.run(ctx, f, EngineInterpreted)
 }
-
-// newFastSource and newJumpSource are the per-worker stream constructors
-// for the two engine paths. Both sources emit bit-identical streams to
-// rand.NewSource, so the choice never changes results — only how much
-// seeding work each subject pays. The interpreted path keeps the
-// eagerly-seeded fastSource as the plain reference implementation; the
-// compiled path uses the lazily-materialized jumpSource, whose O(1)
-// reseed is the dominant share of its speedup.
-func newFastSource() rand.Source64 { return &fastSource{} }
-func newJumpSource() rand.Source64 { return &jumpSource{} }
 
 // run is the engine shared by the interpreted (Run) and compiled
 // (RunProgram) paths. path names the engine path for pprof labels and the
-// EngineReport; newSource builds each worker's reseedable subject-stream
-// generator. Scheduling, containment, and aggregation are identical for
-// both paths.
-func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource func() rand.Source64) (*Result, error) {
+// EngineReport. Subject streams, scheduling, containment, and aggregation
+// are identical for both paths.
+func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -511,7 +522,7 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string, newSource 
 				// One reseedable generator per worker: Seed re-derives the
 				// exact stream SubjectRand would return for the subject,
 				// without allocating a fresh source per subject.
-				src := newSource()
+				src := &rngSource{}
 				rng := rand.New(src)
 				for {
 					if runCtx.Err() != nil {

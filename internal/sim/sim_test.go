@@ -302,9 +302,14 @@ func TestSortedStagesOrdered(t *testing.T) {
 }
 
 // valuesScenario emits a per-subject metric so Values ordering is
-// observable: subject i records "idx" = i alongside a seeded coin flip.
+// observable: subject i records "idx" = i alongside a seeded coin flip,
+// and every third subject also records "sparse" = i, so shards merge
+// series with gaps.
 func valuesScenario(rng *rand.Rand, i int) (Outcome, error) {
 	out := Outcome{Values: map[string]float64{"idx": float64(i), "draw": rng.Float64()}}
+	if i%3 == 0 {
+		out.Values["sparse"] = float64(i)
+	}
 	if rng.Float64() < 0.5 {
 		out.Heeded = true
 		out.FailedStage = agent.StageNone
@@ -337,6 +342,15 @@ func TestResultBitIdenticalAcrossWorkers(t *testing.T) {
 		for i, v := range idx {
 			if v != float64(i) {
 				t.Fatalf("workers=%d: idx[%d] = %v, want %v (subject order broken)", workerCounts[wi], i, v, i)
+			}
+		}
+		sparse := res.Values["sparse"]
+		if len(sparse) != 200 {
+			t.Fatalf("workers=%d: %d sparse observations, want 200", workerCounts[wi], len(sparse))
+		}
+		for i, v := range sparse {
+			if v != float64(3*i) {
+				t.Fatalf("workers=%d: sparse[%d] = %v, want %v (subject order broken)", workerCounts[wi], i, v, 3*i)
 			}
 		}
 	}
