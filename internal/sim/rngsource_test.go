@@ -8,42 +8,131 @@ import (
 	"testing"
 )
 
-// TestSourceMatchesStdlib locks down the engine's core determinism claim:
-// rngSource produces exactly the stream of rand.NewSource for any seed, so
-// pooled re-seeding reproduces SubjectRand's streams bit-for-bit — at the
-// raw Uint64 level across several state wraps, and through the rand.Rand
-// draws scenarios consume.
-func TestSourceMatchesStdlib(t *testing.T) {
+// seedLazy seeds src as a worker does after a short stream: Seed builds no
+// state word, and the draws build them from the jump table.
+func seedLazy(t *testing.T, src *rngSource, seed int64) {
+	t.Helper()
+	src.Seed(7)
+	src.Uint64()
+	src.Seed(seed)
+	if src.edge < 0 {
+		t.Fatalf("Seed(%d) after a 1-draw stream built the whole state", seed)
+	}
+}
+
+// seedFilled seeds src as a worker does after a stream past lazyDraws:
+// Seed builds the whole state up front.
+func seedFilled(t *testing.T, src *rngSource, seed int64) {
+	t.Helper()
+	src.Seed(7)
+	for i := 0; i <= lazyDraws; i++ {
+		src.Uint64()
+	}
+	src.Seed(seed)
+	if src.edge >= 0 {
+		t.Fatalf("Seed(%d) after a %d-draw stream left state unbuilt", seed, lazyDraws+1)
+	}
+}
+
+// checkSeedMatchesStdlib holds src, seeded by seed, to rand.NewSource's
+// stream for edge-case seeds and 50 drawn from pick: at the raw Uint64
+// level across more than three 607-word state wraps, and through the
+// rand.Rand draws scenarios consume. It returns the seeds it checked.
+func checkSeedMatchesStdlib(t *testing.T, pick int64, seed func(*testing.T, *rngSource, int64)) []int64 {
+	t.Helper()
 	seeds := []int64{0, 1, -1, 89482311, 20080124, 1 << 40, -(1 << 40), int64(^uint64(0) >> 1), -int64(^uint64(0)>>1) - 1}
-	pick := rand.New(rand.NewSource(12345))
+	r := rand.New(rand.NewSource(pick))
 	for i := 0; i < 50; i++ {
-		seeds = append(seeds, pick.Int63()-pick.Int63())
+		seeds = append(seeds, r.Int63()-r.Int63())
 	}
 
 	src := &rngSource{}
-	for _, seed := range seeds {
-		std := rand.NewSource(seed).(rand.Source64)
-		src.Seed(seed)
+	for _, s := range seeds {
+		seed(t, src, s)
+		std := rand.NewSource(s).(rand.Source64)
 		for i := 0; i < 2000; i++ {
 			if got, want := src.Uint64(), std.Uint64(); got != want {
-				t.Fatalf("seed %d draw %d: rngSource.Uint64() = %d, stdlib = %d", seed, i, got, want)
+				t.Fatalf("seed %d draw %d: rngSource.Uint64() = %d, stdlib = %d", s, i, got, want)
 			}
 		}
 	}
 
-	for _, seed := range seeds[:8] {
-		src.Seed(seed)
+	for _, s := range seeds[:8] {
+		seed(t, src, s)
 		a := rand.New(src)
-		b := rand.New(rand.NewSource(seed))
+		b := rand.New(rand.NewSource(s))
 		for i := 0; i < 500; i++ {
 			if x, y := a.Float64(), b.Float64(); x != y {
-				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, x, y)
+				t.Fatalf("seed %d draw %d: Float64 %v != %v", s, i, x, y)
 			}
 			if x, y := a.NormFloat64(), b.NormFloat64(); x != y {
-				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", seed, i, x, y)
+				t.Fatalf("seed %d draw %d: NormFloat64 %v != %v", s, i, x, y)
 			}
 			if x, y := a.Intn(97), b.Intn(97); x != y {
-				t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, x, y)
+				t.Fatalf("seed %d draw %d: Intn %d != %d", s, i, x, y)
+			}
+		}
+	}
+	return seeds
+}
+
+// TestFastSourceMatchesStdlib locks down the engine's core determinism
+// claim on the eager path: rngSource with its whole state built at Seed
+// produces exactly the stream of rand.NewSource for any seed, so pooled
+// re-seeding reproduces SubjectRand's streams bit-for-bit.
+func TestFastSourceMatchesStdlib(t *testing.T) {
+	checkSeedMatchesStdlib(t, 12345, seedFilled)
+
+	// Re-seeding a used source must be indistinguishable from a fresh one.
+	src := &rngSource{}
+	src.Seed(7)
+	for i := 0; i < 1000; i++ {
+		src.Uint64()
+	}
+	src.Seed(42)
+	std := rand.NewSource(42).(rand.Source64)
+	for i := 0; i < 1000; i++ {
+		if got, want := src.Uint64(), std.Uint64(); got != want {
+			t.Fatalf("re-seeded draw %d: %d != %d", i, got, want)
+		}
+	}
+}
+
+// TestJumpSourceMatchesStdlib holds the lazy path to the same standard:
+// state words built on demand from the Lehmer jump table give the stdlib
+// stream at every seed, through the batch build at draw lazyDraws+1 and
+// the state wraps after it, across re-seeding, and in agreement with the
+// state Seed builds eagerly.
+func TestJumpSourceMatchesStdlib(t *testing.T) {
+	seeds := checkSeedMatchesStdlib(t, 54321, seedLazy)
+
+	// Re-seeding after a partial and after a wrapped stream must both be
+	// indistinguishable from a fresh source: no word built for the prior
+	// seed may leak.
+	src := &rngSource{}
+	for _, used := range []int{3, 1000} {
+		src.Seed(7)
+		for i := 0; i < used; i++ {
+			src.Uint64()
+		}
+		src.Seed(42)
+		std := rand.NewSource(42).(rand.Source64)
+		for i := 0; i < 1000; i++ {
+			if got, want := src.Uint64(), std.Uint64(); got != want {
+				t.Fatalf("re-seeded (after %d draws) draw %d: %d != %d", used, i, got, want)
+			}
+		}
+	}
+
+	// The lazily built and the eagerly built state are two routes to one
+	// stream and must agree draw for draw.
+	lazy, filled := &rngSource{}, &rngSource{}
+	for _, s := range seeds[:12] {
+		seedLazy(t, lazy, s)
+		seedFilled(t, filled, s)
+		for i := 0; i < 700; i++ {
+			if got, want := lazy.Uint64(), filled.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: lazy %d != filled %d", s, i, got, want)
 			}
 		}
 	}
