@@ -7,16 +7,20 @@ package agent
 //
 // The contract is bit-identity: StageParams.Eval must consume the exact
 // same rng draw sequence and produce the exact same Result as
-// Receiver.Process on a freshly Reset (and optionally Train-ed) receiver.
+// Receiver.Process on a receiver holding the same state. That state — the
+// three Receiver map entries one communication's encounters read and
+// write — lives in Registers, so a compiled subject loop can carry it from
+// one encounter to the next; fresh registers are a fresh receiver.
 // Floating-point addition is not associative, so the lowering only folds
 // subexpressions that Go's left-to-right evaluation already computes
 // adjacently (const+const, const*const); every term involving a
-// per-subject trait keeps its original position and operator order.
-// Encounters whose processing mutates receiver state in a way that feeds
-// back into the same encounter's probabilities — skill installation on
-// acquisition, delayed application (retention decay depends on each
-// subject's memory capacity, success rehearses the skill) — are refused
-// with ErrNotLowerable; callers fall back to the interpreted walk.
+// per-subject trait or a register keeps its original position and
+// operator order. Shapes whose state the registers do not hold — training
+// communications (acquisition corrects the mental model), delayed
+// application (retention decay depends on each subject's memory capacity,
+// success rehearses the skill), and skills read on a later day than they
+// were acquired (decay, again per subject) — are refused with
+// ErrNotLowerable; callers fall back to the interpreted walk.
 
 import (
 	"errors"
@@ -30,15 +34,39 @@ import (
 )
 
 // ErrNotLowerable reports an encounter shape the compiler refuses: its
-// stage probabilities depend on receiver state that mutates during the
-// encounter, so only the interpreted Receiver walk reproduces it. Test
-// with errors.Is.
+// stage probabilities depend on receiver state Registers do not carry, so
+// only the interpreted Receiver walk reproduces it. Test with errors.Is.
 var ErrNotLowerable = errors.New("agent: encounter not lowerable")
 
+// Registers is the receiver state lowered encounters carry from one
+// encounter of a subject to the next. The Receiver keeps it in maps keyed
+// by communication ID and topic; a register set belongs to one subject's
+// encounters with one communication under one model, so each map entry is
+// a single field. Start every subject from StageParams.Fresh.
+type Registers struct {
+	// Exposures counts noticed exposures of the communication
+	// (Receiver.Exposures); habituation in the attention switch reads it.
+	Exposures int
+	// FalseAlarms counts noticed false positives on the communication's
+	// topic (Receiver.FalseAlarms); trust in the belief and heuristic
+	// stages reads it.
+	FalseAlarms int
+	// Skill is the topic skill level (Receiver.SkillFor), from
+	// pre-training or installed when a Policy communication is acquired;
+	// HasSkill reports whether one exists. A skill is only ever read on
+	// its acquisition day, where it has not decayed.
+	Skill    float64
+	HasSkill bool
+
+	skillDay float64 // virtual day Skill was acquired
+	trust    float64 // false-alarm trust factor at trustAt false alarms
+	trustAt  int     // FalseAlarms count trust was computed for; 0 = none
+}
+
 // StageParams is a lowered encounter: every stage probability reduced to a
-// handful of precomputed constants plus coefficients on per-subject traits,
-// laid out flat so the per-subject evaluation touches one contiguous struct
-// and no maps. Build one with LowerEncounter.
+// handful of precomputed constants plus coefficients on per-subject traits
+// and registers, laid out flat so the per-subject evaluation touches one
+// contiguous struct and no maps. Build one with LowerEncounter.
 type StageParams struct {
 	// Delivery.
 	spoofed     bool    // interference spoofs the communication: immediate delivery failure
@@ -55,6 +83,7 @@ type StageParams struct {
 	noticeLoadC  float64 // attention-load penalty term
 	noticePrimed float64 // primed boost
 	noticeFloor  float64 // blocking-warning notice floor
+	habNeg       float64 // -habituation rate * passiveness: exponent per noticed exposure
 
 	// Attention maintenance.
 	maintainA      float64 // base + activeness terms
@@ -72,8 +101,14 @@ type StageParams struct {
 	accurateAll  bool    // training forces an accurate mental model for every subject
 
 	// Knowledge acquisition.
-	acqC    float64 // base + instructions + skill terms
-	acqExpW float64 // coefficient on expertise
+	acqAB     float64 // base + instructions terms
+	acqSkillW float64 // coefficient on the skill register
+	acqExpW   float64 // coefficient on expertise
+
+	// Skill installation (Policy communications) on acquisition.
+	installs     bool
+	installLevel float64
+	day          float64 // the encounter's virtual day
 
 	// Knowledge transfer (retention is always 1 for lowerable encounters).
 	transferOne  bool    // zero novelty: transfer is certain
@@ -82,13 +117,14 @@ type StageParams struct {
 	novelty      float64
 
 	// Attitudes & beliefs.
-	trustFA        float64 // false-alarm trust factor (1 when the hazard is present)
+	falseAlarm     bool    // the hazard is absent: noticing counts a false alarm
+	trustNeg       float64 // -FPTrustDecay: trust-erosion exponent per false alarm
 	beliefBase     float64
 	beliefTrustW   float64
 	beliefRiskW    float64
 	severity       float64
 	beliefExplainC float64
-	beliefSkillC   float64
+	beliefSkillW   float64
 	beliefLookC    float64
 
 	// Motivation.
@@ -96,7 +132,7 @@ type StageParams struct {
 	motRiskW  float64
 	motCompW  float64
 	motActC   float64
-	motSkillC float64
+	motSkillW float64
 	motCostC  float64
 	motFocusW float64
 	passive   float64 // 1 - activeness
@@ -106,7 +142,7 @@ type StageParams struct {
 	heurRiskW  float64
 	heurTrustW float64
 	heurActC   float64
-	heurSkillC float64
+	heurSkillW float64
 	heurLookC  float64
 	heurFocusW float64
 
@@ -127,19 +163,23 @@ type StageParams struct {
 	lapseC   float64 // clamped per-step lapse base
 	slipC    float64 // clamped per-step slip base
 	gevalC   float64 // feedback + cognitive-demand terms of the evaluation gulf
+
+	fresh Registers // a subject who has not yet met the communication
 }
 
 // LowerEncounter compiles the encounter under model m (nil means the
 // default model) into a StageParams whose Eval is bit-identical to
-// Receiver.Process on a fresh receiver. trained reports that every subject
-// was pre-trained on e.Comm.Topic with the given skill (the Receiver.Train
-// shape); pass false and the zero Skill otherwise.
+// Receiver.Process on a receiver holding the state Eval's registers hold.
+// trained reports that every subject was pre-trained on e.Comm.Topic with
+// the given skill (the Receiver.Train shape); pass false and the zero
+// Skill otherwise.
 //
 // It returns an error wrapping ErrNotLowerable for shapes whose
-// probabilities depend on receiver state mutated within the encounter:
-// training/policy communications (acquisition installs skills), delayed
-// application (retention decay and rehearsal), and trained skills older
-// than the encounter day (decay depends on per-subject memory capacity).
+// probabilities depend on receiver state the registers do not carry:
+// training communications (acquisition corrects the mental model),
+// delayed application (retention decay and rehearsal), and trained skills
+// older than the encounter day (decay depends on per-subject memory
+// capacity).
 func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StageParams, error) {
 	if m == nil {
 		m = defaultModel()
@@ -149,8 +189,8 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 	}
 	(&e).withDefaults()
 
-	if e.Comm.Kind == comms.Training || e.Comm.Kind == comms.Policy {
-		return nil, fmt.Errorf("%w: %s communications install skills on acquisition", ErrNotLowerable, e.Comm.Kind)
+	if e.Comm.Kind == comms.Training {
+		return nil, fmt.Errorf("%w: %s communications correct the mental model on acquisition", ErrNotLowerable, e.Comm.Kind)
 	}
 	if e.ApplyDelayDays != 0 {
 		return nil, fmt.Errorf("%w: delayed application engages retention and rehearsal dynamics", ErrNotLowerable)
@@ -163,12 +203,9 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 	passive := 1 - d.Activeness
 	load := e.Env.AttentionLoad()
 	eff := e.Interference.Apply()
-
-	// Skill level at the encounter: zero untrained; at age zero the decay
-	// factor is exactly Exp(-0) == 1, so the trained level is Skill.Level.
-	skillC := 0.0
-	if trained {
-		skillC = skill.Level
+	habRate := m.HabituationRate
+	if d.Polymorphic {
+		habRate *= m.PolymorphicHabituationScale
 	}
 
 	sp := &StageParams{
@@ -183,6 +220,7 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 		noticeLoadC:  m.NoticeLoadPenalty * passive * load,
 		noticePrimed: m.PrimedBoost,
 		noticeFloor:  m.NoticeBlockFloor,
+		habNeg:       -habRate * passive,
 
 		maintainA:      m.MaintainBase + m.MaintainActiveness*d.Activeness,
 		maintainLenC:   m.MaintainLengthPenalty * d.Length,
@@ -197,28 +235,34 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 		compShieldW:  m.CompExpertiseShield,
 		accurateAll:  trained,
 
-		acqC:    m.AcqBase + m.AcqInstructions*d.InstructionSpecificity + m.AcqSkill*skillC,
-		acqExpW: m.AcqExpertise,
+		acqAB:     m.AcqBase + m.AcqInstructions*d.InstructionSpecificity,
+		acqSkillW: m.AcqSkill,
+		acqExpW:   m.AcqExpertise,
+
+		installs:     e.Comm.Kind == comms.Policy,
+		installLevel: 0.5 + 0.5*d.InstructionSpecificity,
+		day:          e.Day,
 
 		transferOne:  e.SituationNovelty == 0,
 		transferC:    m.TransferNoveltyPenalty - m.TransferInteractivity*d.Interactivity,
 		transferExpW: m.TransferExpertise,
 		novelty:      e.SituationNovelty,
 
-		trustFA:        1,
+		falseAlarm:     !e.HazardPresent,
+		trustNeg:       -m.FPTrustDecay,
 		beliefBase:     m.BeliefBase,
 		beliefTrustW:   m.BeliefTrust,
 		beliefRiskW:    m.BeliefRisk,
 		severity:       e.Comm.Hazard.Severity,
 		beliefExplainC: m.BeliefExplain * d.Explanation,
-		beliefSkillC:   m.BeliefSkill * skillC,
+		beliefSkillW:   m.BeliefSkill,
 		beliefLookC:    m.BeliefLookPenalty * d.LookAlike,
 
 		motBase:   m.MotBase,
 		motRiskW:  m.MotRisk,
 		motCompW:  m.MotCompliance,
 		motActC:   m.MotActiveness * d.Activeness,
-		motSkillC: m.MotSkill * skillC,
+		motSkillW: m.MotSkill,
 		motCostC:  m.MotCostPenalty * e.ComplianceCost,
 		motFocusW: m.MotFocusPenalty,
 		passive:   1 - d.Activeness,
@@ -227,7 +271,7 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 		heurRiskW:  m.HeurRisk,
 		heurTrustW: m.HeurTrust,
 		heurActC:   m.HeurActiveness * d.Activeness,
-		heurSkillC: m.HeurSkill * skillC,
+		heurSkillW: m.HeurSkill,
 		heurLookC:  m.HeurLookPenalty * d.LookAlike,
 		heurFocusW: m.HeurFocusPenalty,
 
@@ -247,11 +291,10 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 		slipC:    clamp01(0.01 + 0.07*(1-e.Task.ControlClarity) + 0.05*e.Task.PhysicalDemand),
 		gevalC:   0.7*(1-e.Task.FeedbackQuality) + 0.15*e.Task.CognitiveDemand,
 	}
-	if !e.HazardPresent {
-		// A noticed false positive increments the topic's false-alarm count
-		// before any stage reads trust, so every post-notice trust read sees
-		// exactly one false alarm.
-		sp.trustFA = math.Exp(-m.FPTrustDecay * 1.0)
+	if trained {
+		// At age zero the decay factor is exactly Exp(-0) == 1, so the
+		// trained level is Skill.Level.
+		sp.fresh = Registers{Skill: skill.Level, HasSkill: true, skillDay: skill.AcquiredDay}
 	}
 	// Dismissal race: every factor is design- or environment-constant.
 	if sp.dismissRace {
@@ -261,23 +304,64 @@ func LowerEncounter(m *Model, e Encounter, trained bool, skill Skill) (*StagePar
 	return sp, nil
 }
 
+// Fresh returns the registers of a subject who has not yet met the
+// communication: no exposures or false alarms, and the pre-trained skill
+// when the encounter was lowered with one.
+func (sp *StageParams) Fresh() Registers { return sp.fresh }
+
 // Per-subject stage probabilities. Each helper mirrors the corresponding
 // Receiver method term by term: constants were folded only where the
 // original expression already evaluated them adjacently, so the float
 // operation sequence — and therefore the result bits — are identical.
 
-func (sp *StageParams) pNotice(prof *population.Profile) float64 {
+func (sp *StageParams) pNotice(prof *population.Profile, exposures int) float64 {
 	p := sp.noticeC + sp.noticeAcuity*(prof.VisualAcuity()-0.8) - sp.noticeLoadC
 	if sp.primed {
 		p += sp.noticePrimed
 	}
 	p = clamp01(p)
-	// Habituation: a fresh receiver has zero exposures, so the factor is
-	// exactly Exp(-0) == 1; the multiply is dropped.
+	// Habituation. With no exposures or a fully active design the factor
+	// is exactly Exp(±0) == 1 and p*1 == p, so the multiply is skipped.
+	if exposures != 0 && sp.habNeg != 0 {
+		p *= math.Exp(sp.habNeg * float64(exposures))
+	}
 	if sp.blocking && p < sp.noticeFloor {
 		p = sp.noticeFloor
 	}
 	return clamp01(p)
+}
+
+// noticed advances the registers the way a noticed encounter advances the
+// Receiver's maps, before any later stage reads them.
+func (sp *StageParams) noticed(reg *Registers) {
+	reg.Exposures++
+	if sp.falseAlarm {
+		reg.FalseAlarms++
+	}
+}
+
+// trust is Receiver.EffectiveTrust at the registers' false-alarm count.
+// With none the erosion factor is exactly Exp(-0) == 1; otherwise it is
+// recomputed only when the count has changed since the last call.
+func (sp *StageParams) trust(prof *population.Profile, reg *Registers) float64 {
+	f := 1.0
+	if reg.FalseAlarms != 0 {
+		if reg.trustAt != reg.FalseAlarms {
+			reg.trust = math.Exp(sp.trustNeg * float64(reg.FalseAlarms))
+			reg.trustAt = reg.FalseAlarms
+		}
+		f = reg.trust
+	}
+	return prof.TrustInSecurityUI() * f
+}
+
+// acquired installs a Policy communication's skill on acquisition, unless
+// a stronger one is already held — read on the same day, the held level
+// is its undecayed Skill.
+func (sp *StageParams) acquired(reg *Registers) {
+	if sp.installs && (!reg.HasSkill || sp.installLevel > reg.Skill) {
+		reg.Skill, reg.HasSkill, reg.skillDay = sp.installLevel, true, sp.day
+	}
 }
 
 func (sp *StageParams) pMaintain(prof *population.Profile) float64 {
@@ -298,8 +382,8 @@ func (sp *StageParams) pComprehend(exp float64, accurate bool) float64 {
 	return clamp01(p)
 }
 
-func (sp *StageParams) pAcquire(exp float64) float64 {
-	return clamp01(sp.acqC + sp.acqExpW*exp)
+func (sp *StageParams) pAcquire(exp, skill float64) float64 {
+	return clamp01(sp.acqAB + sp.acqSkillW*skill + sp.acqExpW*exp)
 }
 
 func (sp *StageParams) pTransfer(exp float64) float64 {
@@ -313,33 +397,33 @@ func (sp *StageParams) pTransfer(exp float64) float64 {
 	return clamp01(1 - sp.novelty*penalty)
 }
 
-func (sp *StageParams) pBelieve(prof *population.Profile, trust float64) float64 {
+func (sp *StageParams) pBelieve(prof *population.Profile, trust, skill float64) float64 {
 	p := sp.beliefBase +
 		sp.beliefTrustW*trust +
 		sp.beliefRiskW*prof.RiskPerception()*sp.severity +
 		sp.beliefExplainC +
-		sp.beliefSkillC -
+		sp.beliefSkillW*skill -
 		sp.beliefLookC
 	return clamp01(p)
 }
 
-func (sp *StageParams) pMotivate(prof *population.Profile) float64 {
+func (sp *StageParams) pMotivate(prof *population.Profile, skill float64) float64 {
 	p := sp.motBase +
 		sp.motRiskW*prof.RiskPerception()*sp.severity +
 		sp.motCompW*prof.ComplianceTendency() +
 		sp.motActC +
-		sp.motSkillC -
+		sp.motSkillW*skill -
 		sp.motCostC -
 		sp.motFocusW*prof.PrimaryTaskFocus()*sp.passive
 	return clamp01(p)
 }
 
-func (sp *StageParams) pHeuristic(prof *population.Profile, trust float64) float64 {
+func (sp *StageParams) pHeuristic(prof *population.Profile, trust, skill float64) float64 {
 	p := sp.heurBase +
 		sp.heurRiskW*prof.RiskPerception() +
 		sp.heurTrustW*trust +
 		sp.heurActC +
-		sp.heurSkillC -
+		sp.heurSkillW*skill -
 		sp.heurLookC -
 		sp.heurFocusW*prof.PrimaryTaskFocus()*sp.passive
 	return clamp01(p)
@@ -354,13 +438,24 @@ func (sp *StageParams) pCapable(prof *population.Profile, exp float64) float64 {
 	return cog * phy
 }
 
-// Eval runs one subject through the lowered pipeline, consuming rng draws
-// in exactly the order Receiver.Process does and returning the identical
-// Result (Trace is never materialized — the compiled path exists for
-// trace-off bulk runs). The profile is taken by pointer only to keep the
-// call cheap; it is not retained or mutated.
-func (sp *StageParams) Eval(rng *rand.Rand, prof *population.Profile) Result {
+// Eval runs one subject's encounter through the lowered pipeline,
+// consuming rng draws in exactly the order Receiver.Process does and
+// returning the identical Result (Trace is never materialized — the
+// compiled path exists for trace-off bulk runs). It reads and advances reg
+// exactly as Process reads and advances the receiver's maps, so one
+// register set carried through a sequence of encounters reproduces one
+// Receiver carried through them. Neither the profile nor the registers
+// are retained.
+//
+// Eval panics when reg holds a skill acquired before the encounter's day:
+// that skill would have decayed by a per-subject amount, which lowering
+// refuses — a compiled loop spanning days must not lower a communication
+// that installs skills.
+func (sp *StageParams) Eval(rng *rand.Rand, prof *population.Profile, reg *Registers) Result {
 	res := Result{FailedStage: StageNone, ErrorClass: gems.NoError}
+	if reg.HasSkill && reg.skillDay < sp.day {
+		panic("agent: lowered encounter reads a skill acquired on an earlier day")
+	}
 
 	// --- Communication impediments (delivery). ---
 	if sp.spoofed {
@@ -378,15 +473,17 @@ func (sp *StageParams) Eval(rng *rand.Rand, prof *population.Profile) Result {
 	}
 
 	// --- Attention switch. ---
-	if !(rng.Float64() < sp.pNotice(prof)) {
+	if !(rng.Float64() < sp.pNotice(prof, reg.Exposures)) {
 		res.FailedStage = StageAttentionSwitch
 		return res
 	}
+	sp.noticed(reg)
 
-	// Expertise and trust are pure functions of the profile; computing them
-	// once up front matches every later use bit for bit.
-	exp := 0.4*prof.TechExpertise() + 0.6*prof.SecurityKnowledge()
-	trust := prof.TrustInSecurityUI() * sp.trustFA
+	// Expertise is a pure function of the profile, and trust of the
+	// profile and the false-alarm count, which no later stage changes:
+	// computing them once up front matches every later use bit for bit.
+	exp := prof.Expertise()
+	trust := sp.trust(prof, reg)
 
 	// --- Attention maintenance. ---
 	if !(rng.Float64() < sp.pMaintain(prof)) {
@@ -407,15 +504,14 @@ func (sp *StageParams) Eval(rng *rand.Rand, prof *population.Profile) Result {
 	}
 
 	// --- Knowledge acquisition. ---
-	// Lowerable kinds never install skills, so acquisition has no side
-	// effects to replay.
-	if !(rng.Float64() < sp.pAcquire(exp)) {
+	if !(rng.Float64() < sp.pAcquire(exp, reg.Skill)) {
 		if sp.blocking {
 			goto heuristic
 		}
 		res.FailedStage = StageKnowledgeAcquisition
 		return res
 	}
+	sp.acquired(reg)
 
 	// --- Application: retention (always certain here) and transfer. ---
 	if !(rng.Float64() < 1.0) { // PRetain == 1 at zero apply delay; the draw is still consumed
@@ -428,11 +524,11 @@ func (sp *StageParams) Eval(rng *rand.Rand, prof *population.Profile) Result {
 	}
 
 	// --- Intentions. ---
-	if !(rng.Float64() < sp.pBelieve(prof, trust)) {
+	if !(rng.Float64() < sp.pBelieve(prof, trust, reg.Skill)) {
 		res.FailedStage = StageAttitudesBeliefs
 		return res
 	}
-	if !(rng.Float64() < sp.pMotivate(prof)) {
+	if !(rng.Float64() < sp.pMotivate(prof, reg.Skill)) {
 		res.FailedStage = StageMotivation
 		return res
 	}
@@ -484,7 +580,7 @@ heuristic:
 	// A blocking communication the user did not fully process still gets
 	// disposed of somehow; the low-information decision drives the outcome.
 	res.HeuristicPath = true
-	if rng.Float64() < sp.pHeuristic(prof, trust) {
+	if rng.Float64() < sp.pHeuristic(prof, trust, reg.Skill) {
 		res.Heeded = true
 		res.FailedStage = StageNone
 		return res
@@ -524,11 +620,16 @@ type StageProbs struct {
 	EvalGulf float64
 }
 
-// Probabilities computes every stage threshold for one profile, using the
-// identical arithmetic Eval samples against.
+// Probabilities computes every stage threshold for one profile on fresh
+// registers, using the identical arithmetic Eval samples against: each
+// threshold sees the registers as Eval has advanced them on the way to
+// that stage.
 func (sp *StageParams) Probabilities(prof *population.Profile) StageProbs {
-	exp := 0.4*prof.TechExpertise() + 0.6*prof.SecurityKnowledge()
-	trust := prof.TrustInSecurityUI() * sp.trustFA
+	reg := sp.fresh
+	notice := sp.pNotice(prof, reg.Exposures)
+	sp.noticed(&reg)
+	exp := prof.Expertise()
+	trust := sp.trust(prof, &reg)
 	pr := StageProbs{
 		Spoofed:  sp.spoofed,
 		Blocking: sp.blocking,
@@ -536,16 +637,15 @@ func (sp *StageParams) Probabilities(prof *population.Profile) StageProbs {
 
 		Deliver:    sp.pDeliver,
 		Survive:    1,
-		Notice:     sp.pNotice(prof),
+		Notice:     notice,
 		Maintain:   sp.pMaintain(prof),
 		Comprehend: sp.pComprehend(exp, sp.accurateAll || prof.AccurateMentalModel),
-		Acquire:    sp.pAcquire(exp),
+		Acquire:    sp.pAcquire(exp, reg.Skill),
 		Retain:     1,
 		Transfer:   sp.pTransfer(exp),
-		Believe:    sp.pBelieve(prof, trust),
-		Motivate:   sp.pMotivate(prof),
 		Capable:    sp.pCapable(prof, exp),
-		Heuristic:  sp.pHeuristic(prof, trust),
+		// The heuristic path is only reached before acquisition succeeds.
+		Heuristic: sp.pHeuristic(prof, trust, reg.Skill),
 
 		Mistake:  clamp01(sp.mistakeC * (1 - 0.7*exp)),
 		ExecGulf: clamp01(sp.gexecC-0.25*exp-0.1*prof.SelfEfficacy()) * 0.5,
@@ -553,6 +653,9 @@ func (sp *StageParams) Probabilities(prof *population.Profile) StageProbs {
 		Slip:     sp.slipC * (1 - 0.4*prof.MotorSkill()),
 		EvalGulf: clamp01(sp.gevalC - 0.2*exp),
 	}
+	sp.acquired(&reg)
+	pr.Believe = sp.pBelieve(prof, trust, reg.Skill)
+	pr.Motivate = sp.pMotivate(prof, reg.Skill)
 	if sp.dismissRace {
 		pr.Survive = sp.pSurvive
 	}

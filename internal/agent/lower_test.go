@@ -37,8 +37,9 @@ func sameResult(a, b Result) bool {
 }
 
 // lowerableEncounters spans the lowerable encounter space: every warning
-// preset, both hazard polarities, priming, interference kinds, both
-// environments, missing tools, and situation novelty.
+// preset and the password policy document, both hazard polarities,
+// priming, interference kinds, both environments, missing tools, and
+// situation novelty.
 func lowerableEncounters() []Encounter {
 	var out []Encounter
 	warnings := []comms.Communication{
@@ -56,7 +57,7 @@ func lowerableEncounters() []Encounter {
 		{Kind: stimuli.Delay, Strength: 0.8},
 		{Kind: stimuli.TechFailure, Strength: 0.2},
 	}
-	for _, w := range warnings {
+	for _, w := range append(warnings, comms.PasswordPolicyDocument()) {
 		for _, inf := range interferences {
 			out = append(out, Encounter{Comm: w, Env: stimuli.Busy(), Interference: inf, HazardPresent: true})
 		}
@@ -106,7 +107,8 @@ func TestLowerBitIdentity(t *testing.T) {
 				prof := randomProfile(profRng)
 				seed := int64(ei*100000 + s)
 				want := interpretOne(t, e, trained, skill, prof, seed)
-				got := sp.Eval(rand.New(rand.NewSource(seed)), &prof)
+				reg := sp.Fresh()
+				got := sp.Eval(rand.New(rand.NewSource(seed)), &prof, &reg)
 				if !sameResult(want, got) {
 					t.Fatalf("encounter %d (comm %s, trained=%v) seed %d:\ninterpreted %+v\ncompiled    %+v",
 						ei, e.Comm.ID, trained, seed, want, got)
@@ -127,10 +129,11 @@ func TestLowerRefusals(t *testing.T) {
 		t.Errorf("training kind: want ErrNotLowerable, got %v", err)
 	}
 
+	// A policy's skill installation is carried by the registers.
 	policy := base
 	policy.Comm.Kind = comms.Policy
-	if _, err := LowerEncounter(nil, policy, false, Skill{}); !errors.Is(err, ErrNotLowerable) {
-		t.Errorf("policy kind: want ErrNotLowerable, got %v", err)
+	if _, err := LowerEncounter(nil, policy, false, Skill{}); err != nil {
+		t.Errorf("policy kind: want lowerable, got %v", err)
 	}
 
 	delayed := base
@@ -148,6 +151,21 @@ func TestLowerRefusals(t *testing.T) {
 	// to decay.
 	if _, err := LowerEncounter(nil, aged, false, Skill{}); err != nil {
 		t.Errorf("aged untrained: want lowerable, got %v", err)
+	}
+
+	// A skill a policy installed on day 0 has decayed by day 1, so reading
+	// it there is refused too: Eval panics rather than answer.
+	installer, err := LowerEncounter(nil, Encounter{Comm: comms.PasswordPolicyDocument(), Env: stimuli.Quiet(), HazardPresent: true}, false, Skill{})
+	if err != nil {
+		t.Fatalf("policy document: %v", err)
+	}
+	later := Encounter{Comm: comms.PasswordPolicyDocument(), Env: stimuli.Quiet(), HazardPresent: true, Day: 1}
+	reader, err := LowerEncounter(nil, later, false, Skill{})
+	if err != nil {
+		t.Fatalf("policy document on day 1: %v", err)
+	}
+	if !readsAgedSkillPanics(installer, reader) {
+		t.Error("register skill read a day after acquisition: want a panic")
 	}
 
 	invalid := base
@@ -184,6 +202,93 @@ func TestLowerRefusals(t *testing.T) {
 	for _, c := range checks {
 		if c.got != c.want {
 			t.Errorf("Probabilities.%s = %v, stage function = %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// readsAgedSkillPanics runs subjects through installer until one acquires
+// its skill, then reports whether reader's Eval refuses the registers.
+func readsAgedSkillPanics(installer, reader *StageParams) (panicked bool) {
+	prof := randomProfile(rand.New(rand.NewSource(8)))
+	reg := installer.Fresh()
+	for seed := int64(0); !reg.HasSkill; seed++ {
+		installer.Eval(rand.New(rand.NewSource(seed)), &prof, &reg)
+	}
+	defer func() { panicked = recover() != nil }()
+	reader.Eval(rand.New(rand.NewSource(1)), &prof, &reg)
+	return false
+}
+
+// countingSource counts the draws taken from a math/rand source.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.Source.Int63()
+}
+
+// TestLowerRegistersBitIdentity carries one Receiver and one register set
+// through the same random sequence of hazard and false-positive
+// encounters, for every warning preset and the password policy document:
+// the two must agree draw for draw, result for result, and the registers
+// must hold exactly the receiver's exposures, false alarms and skill after
+// every encounter. This is what compiled subject loops (campaigns, policy
+// re-reads) rely on.
+func TestLowerRegistersBitIdentity(t *testing.T) {
+	presets := []comms.Communication{
+		comms.FirefoxActiveWarning(),
+		comms.IEActiveWarning(),
+		comms.IEPassiveWarning(),
+		comms.ToolbarPassiveIndicator(),
+		comms.PasswordPolicyDocument(),
+	}
+	profRng := rand.New(rand.NewSource(31))
+	for ci, c := range presets {
+		// The policy is read primed, as the password scenario presents it.
+		hazardEnc := Encounter{Comm: c, Env: stimuli.Busy(), HazardPresent: true, Primed: c.Kind == comms.Policy}
+		falseEnc := hazardEnc
+		falseEnc.HazardPresent = false
+		hazard, err := LowerEncounter(nil, hazardEnc, false, Skill{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.ID, err)
+		}
+		falseAlarm, err := LowerEncounter(nil, falseEnc, false, Skill{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.ID, err)
+		}
+		for subject := 0; subject < 150; subject++ {
+			prof := randomProfile(profRng)
+			seed := int64(ci*1000 + subject)
+			isrc := &countingSource{Source: rand.NewSource(seed)}
+			csrc := &countingSource{Source: rand.NewSource(seed)}
+			irng, crng := rand.New(isrc), rand.New(csrc)
+			r := NewReceiver(prof)
+			reg := hazard.Fresh()
+			seq := rand.New(rand.NewSource(seed + 1))
+			for k, steps := 0, 5+seq.Intn(30); k < steps; k++ {
+				e, sp := hazardEnc, hazard
+				if seq.Intn(3) == 0 {
+					e, sp = falseEnc, falseAlarm
+				}
+				want, err := r.Process(irng, e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := sp.Eval(crng, &prof, &reg)
+				if !sameResult(want, got) || isrc.draws != csrc.draws {
+					t.Fatalf("%s subject %d encounter %d (hazard=%v): interpreted %+v after %d draws, lowered %+v after %d",
+						c.ID, subject, k, e.HazardPresent, want, isrc.draws, got, csrc.draws)
+				}
+				skill, ok := r.SkillFor(c.Topic)
+				if reg.Exposures != r.Exposures(c.ID) || reg.FalseAlarms != r.FalseAlarms(c.Topic) ||
+					reg.HasSkill != ok || reg.Skill != skill.Level {
+					t.Fatalf("%s subject %d encounter %d: registers %+v, receiver exposures %d, false alarms %d, skill %+v (%v)",
+						c.ID, subject, k, reg, r.Exposures(c.ID), r.FalseAlarms(c.Topic), skill, ok)
+				}
+			}
 		}
 	}
 }

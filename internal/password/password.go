@@ -205,49 +205,116 @@ func (s Scenario) Run(ctx context.Context) (Metrics, error) {
 	if err := s.Validate(); err != nil {
 		return Metrics{}, err
 	}
+	enc := s.policyEncounter()
+	// Pooled receivers keep the per-subject hot path allocation-free; the
+	// scenario synthesizes its own Outcome, so no traces are collected.
+	pool := &sync.Pool{New: func() any { return &interpretedReader{enc: enc} }}
+	res, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}.Run(ctx, s.subject(pool))
+	if err != nil {
+		return Metrics{}, err
+	}
+	return MetricsFrom(res), nil
+}
+
+// Compile lowers the scenario into a loop program: the subject loop Run
+// executes, evaluating each reading of the policy with lowered stage
+// parameters over agent.Registers instead of a Receiver. The registers
+// carry habituation across readings and the skill a successful reading
+// installs. RunProgram on the result is bit-identical to Run.
+func (s Scenario) Compile() (*sim.Program, error) {
+	(&s).setDefaults()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	sp, err := agent.LowerEncounter(nil, s.policyEncounter(), false, agent.Skill{})
+	if err != nil {
+		return nil, err
+	}
+	pool := &sync.Pool{New: func() any { return &loweredReader{sp: sp} }}
+	return sim.NewLoopProgram(s.Population, s.subject(pool))
+}
+
+// policyEncounter is the policy as a communication. Users see password
+// guidance repeatedly — at enrollment, in handbooks, and re-stated at
+// password creation time (Primed, no apply delay).
+func (s *Scenario) policyEncounter() agent.Encounter {
 	policyComm := comms.PasswordPolicyDocument()
 	if s.Tools.RationaleTraining {
 		policyComm.Design.Explanation = 0.8
 		policyComm.Design.Interactivity = 0.6
 	}
-	// Organizational incentives (consequences, enforcement culture) offset
-	// a large share of the perceived burden.
-	cost := 0.4 * s.Policy.complianceCost(s.Accounts, s.Tools)
+	return agent.Encounter{
+		Comm:          policyComm,
+		Env:           stimuli.Quiet(),
+		HazardPresent: true,
+		Primed:        true,
+		Task: gems.Task{
+			Name: "create-compliant-password", Steps: 1,
+			CueQuality: 0.8, FeedbackQuality: 0.7, ControlClarity: 0.9,
+			PlanSoundness: 0.95, CognitiveDemand: 0.4,
+		},
+		// Organizational incentives (consequences, enforcement culture)
+		// offset a large share of the perceived burden.
+		ComplianceCost: 0.4 * s.Policy.complianceCost(s.Accounts, s.Tools),
+	}
+}
 
-	runner := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}
-	// Pooled receivers keep the per-subject hot path allocation-free; the
-	// scenario synthesizes its own Outcome, so no traces are collected.
-	pool := sync.Pool{New: func() any { return &agent.Receiver{} }}
-	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
+// policyReader evaluates one subject's readings of the policy in order,
+// carrying the receiver state they read from each to the next. Run uses
+// an agent.Receiver, Compile a lowered encounter over agent.Registers;
+// the subject loop is the same.
+type policyReader interface {
+	// reset starts a new subject.
+	reset(prof population.Profile)
+	// read evaluates one reading of the policy.
+	read(rng *rand.Rand) (agent.Result, error)
+}
+
+type interpretedReader struct {
+	enc agent.Encounter
+	r   agent.Receiver
+}
+
+func (ir *interpretedReader) reset(prof population.Profile) { ir.r.Reset(prof) }
+
+func (ir *interpretedReader) read(rng *rand.Rand) (agent.Result, error) {
+	return ir.r.Process(rng, ir.enc)
+}
+
+type loweredReader struct {
+	sp   *agent.StageParams
+	prof population.Profile
+	reg  agent.Registers
+}
+
+func (lr *loweredReader) reset(prof population.Profile) {
+	lr.prof = prof
+	lr.reg = lr.sp.Fresh()
+}
+
+func (lr *loweredReader) read(rng *rand.Rand) (agent.Result, error) {
+	return lr.sp.Eval(rng, &lr.prof, &lr.reg), nil
+}
+
+// subject is the scenario's subject loop, shared by Run and Compile: the
+// policy read through a policyReader from pool, then the portfolio game.
+func (s *Scenario) subject(pool *sync.Pool) sim.SubjectFunc {
+	return func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := s.Population.Sample(rng)
-		r := pool.Get().(*agent.Receiver)
+		r := pool.Get().(policyReader)
 		defer pool.Put(r)
-		r.Reset(prof)
+		r.reset(prof)
 
-		// Stage 1: the policy as a communication. Users see password
-		// guidance repeatedly — at enrollment, in handbooks, and re-stated
-		// at password creation time (Primed, no apply delay). §3.2: most
-		// users know the guidance, so delivery/processing failures mostly
-		// wash out over repeated exposures, and the pipeline's verdict
-		// concentrates in intention (beliefs, motivation). Early-stage
-		// failures are retried up to three exposures; a belief or
-		// motivation failure is a decision and stands.
-		enc := agent.Encounter{
-			Comm:          policyComm,
-			Env:           stimuli.Quiet(),
-			HazardPresent: true,
-			Primed:        true,
-			Task: gems.Task{
-				Name: "create-compliant-password", Steps: 1,
-				CueQuality: 0.8, FeedbackQuality: 0.7, ControlClarity: 0.9,
-				PlanSoundness: 0.95, CognitiveDemand: 0.4,
-			},
-			ComplianceCost: cost,
-		}
+		// Stage 1: the policy as a communication. §3.2: most users know
+		// the guidance, so delivery/processing failures mostly wash out
+		// over repeated exposures, and the pipeline's verdict concentrates
+		// in intention (beliefs, motivation). Early-stage failures are
+		// retried up to three exposures; a belief or motivation failure is
+		// a decision and stands.
 		var ar agent.Result
 		for attempt := 0; attempt < 3; attempt++ {
 			var err error
-			ar, err = r.Process(rng, enc)
+			ar, err = r.read(rng)
 			if err != nil {
 				return sim.Outcome{}, err
 			}
@@ -262,7 +329,7 @@ func (s Scenario) Run(ctx context.Context) (Metrics, error) {
 		intends := ar.Heeded
 
 		// Stage 2: the memory/portfolio game over the simulated period.
-		u := simulatePortfolio(rng, prof, s, intends)
+		u := simulatePortfolio(rng, &prof, s, intends)
 
 		out := sim.Outcome{
 			Heeded:      u.compliant,
@@ -287,12 +354,7 @@ func (s Scenario) Run(ctx context.Context) (Metrics, error) {
 			}
 		}
 		return out, nil
-	})
-	if err != nil {
-		return Metrics{}, err
 	}
-
-	return MetricsFrom(res), nil
 }
 
 // MetricsFrom derives the portfolio metrics from a raw per-subject
@@ -329,7 +391,7 @@ type userOutcome struct {
 }
 
 // simulatePortfolio plays out memory capacity vs portfolio demands.
-func simulatePortfolio(rng *rand.Rand, prof population.Profile, s Scenario, intends bool) userOutcome {
+func simulatePortfolio(rng *rand.Rand, prof *population.Profile, s *Scenario, intends bool) userOutcome {
 	var u userOutcome
 
 	accounts := s.Accounts
@@ -409,7 +471,7 @@ func simulatePortfolio(rng *rand.Rand, prof population.Profile, s Scenario, inte
 // effectiveBits estimates the real entropy of the user's passwords after
 // human choice patterns (Kuo et al.: mnemonic users pick famous phrases;
 // meters and dictionary checks push toward the theoretical maximum).
-func effectiveBits(rng *rand.Rand, s Scenario, prof population.Profile, careful bool) float64 {
+func effectiveBits(rng *rand.Rand, s *Scenario, prof *population.Profile, careful bool) float64 {
 	theo := s.Policy.TheoreticalBits()
 	human := 0.4
 	if careful {

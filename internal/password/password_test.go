@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hitl/internal/agent"
 	"hitl/internal/population"
+	"hitl/internal/sim"
 )
 
 func baseScenario() Scenario {
@@ -312,10 +314,38 @@ func TestSimulatePortfolioVaultNeedsAdoption(t *testing.T) {
 	novReuse, expReuse := 0.0, 0.0
 	const n = 3000
 	for i := 0; i < n; i++ {
-		novReuse += simulatePortfolio(rng, nov, s, true).reuseFraction
-		expReuse += simulatePortfolio(rng, exp, s, true).reuseFraction
+		novReuse += simulatePortfolio(rng, &nov, &s, true).reuseFraction
+		expReuse += simulatePortfolio(rng, &exp, &s, true).reuseFraction
 	}
 	if expReuse/n >= novReuse/n {
 		t.Errorf("experts adopt vaults more and so reuse less: %.3f vs %.3f", expReuse/n, novReuse/n)
+	}
+}
+
+// TestScenarioCompiledMatchesRun holds the compiled policy loop to Run
+// across both policies and every tool, rationale training included (it
+// rewrites the policy communication): the raw aggregates must be deeply
+// equal.
+func TestScenarioCompiledMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	for _, pol := range []Policy{BasicPolicy(), StrongPolicy()} {
+		for _, tools := range []Tools{{}, {SSO: true}, {Vault: true}, {StrengthMeter: true}, {RationaleTraining: true}} {
+			s := Scenario{Policy: pol, Tools: tools, Accounts: 6, N: 200, Seed: 5, Workers: 2}
+			want, err := s.Run(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := s.Compile()
+			if err != nil {
+				t.Fatalf("%s %+v: Compile: %v", pol.Name, tools, err)
+			}
+			got, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}.RunProgram(ctx, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Run, got) {
+				t.Errorf("%s %+v: compiled scenario differs from Run", pol.Name, tools)
+			}
+		}
 	}
 }

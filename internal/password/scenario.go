@@ -50,6 +50,34 @@ func (portfolioScenario) Params() []scenario.Param {
 }
 
 func (portfolioScenario) Run(ctx context.Context, inst scenario.Instance) ([]scenario.Point, error) {
+	sc, label, err := scenarioFor(inst)
+	if err != nil {
+		return nil, err
+	}
+	m, err := sc.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return []scenario.Point{{Label: label, Run: m.Run, Values: m.values()}}, nil
+}
+
+// Compile lowers the instance to its loop program, implementing
+// scenario.Compiler.
+func (portfolioScenario) Compile(inst scenario.Instance) ([]scenario.ProgramUnit, error) {
+	sc, label, err := scenarioFor(inst)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := sc.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return []scenario.ProgramUnit{{Label: label, Seed: sc.Seed, Prog: prog}}, nil
+}
+
+// scenarioFor builds the Scenario an instance describes and its point's
+// label.
+func scenarioFor(inst scenario.Instance) (Scenario, string, error) {
 	var pol Policy
 	switch p := inst.Params.Str("policy"); p {
 	case "basic":
@@ -57,7 +85,7 @@ func (portfolioScenario) Run(ctx context.Context, inst scenario.Instance) ([]sce
 	case "strong":
 		pol = StrongPolicy()
 	default:
-		return nil, fmt.Errorf("password: unknown policy preset %q", p)
+		return Scenario{}, "", fmt.Errorf("password: unknown policy preset %q", p)
 	}
 	pol.ExpiryDays = inst.Params.Int("expiry")
 	sc := Scenario{
@@ -75,28 +103,17 @@ func (portfolioScenario) Run(ctx context.Context, inst scenario.Instance) ([]sce
 		Seed:    inst.Seed,
 		Workers: inst.Workers,
 	}
-	m, err := sc.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return []scenario.Point{{
-		Label: fmt.Sprintf("%s policy, %d accounts", pol.Name, sc.Accounts),
-		Run:   m.Run,
-		Values: map[string]float64{
-			"compliance":    m.ComplianceRate,
-			"reuse":         m.MeanReuseFraction,
-			"write_down":    m.WriteDownRate,
-			"share":         m.ShareRate,
-			"resets":        m.MeanResetsPerYear,
-			"strength_bits": m.MeanStrengthBits,
-		},
-	}}, nil
+	return sc, fmt.Sprintf("%s policy, %d accounts", pol.Name, sc.Accounts), nil
 }
 
 // Rederive recomputes portfolio metrics from a raw aggregate via the same
 // pure derivation Run uses, implementing scenario.Rederiver.
 func (portfolioScenario) Rederive(label string, run *sim.Result) (map[string]float64, error) {
-	m := MetricsFrom(run)
+	return MetricsFrom(run).values(), nil
+}
+
+// values is a portfolio point's metric map.
+func (m Metrics) values() map[string]float64 {
 	return map[string]float64{
 		"compliance":    m.ComplianceRate,
 		"reuse":         m.MeanReuseFraction,
@@ -104,5 +121,5 @@ func (portfolioScenario) Rederive(label string, run *sim.Result) (map[string]flo
 		"share":         m.ShareRate,
 		"resets":        m.MeanResetsPerYear,
 		"strength_bits": m.MeanStrengthBits,
-	}, nil
+	}
 }

@@ -1,8 +1,6 @@
 package phishing
 
 import (
-	"context"
-
 	"hitl/internal/scenario"
 	"hitl/internal/sim"
 )
@@ -26,14 +24,13 @@ func init() {
 }
 
 // adaptiveCampaignScenario is campaignScenario plus the attacker's knobs.
-type adaptiveCampaignScenario struct{}
+// It runs, compiles and rederives exactly as the static campaign does: the
+// knobs change how subjects are simulated, not how aggregates summarize.
+type adaptiveCampaignScenario struct{ campaignScenario }
 
 func (adaptiveCampaignScenario) Name() string { return "phishing-adaptive-campaign" }
 func (adaptiveCampaignScenario) Doc() string {
 	return "campaign with an adapting attacker: look-alike similarity, volume, and targeting shift against observed fall rates (run with rounds/adapt)"
-}
-func (adaptiveCampaignScenario) Defaults() scenario.Defaults {
-	return scenario.Defaults{Population: "general-public", N: 2000}
 }
 
 func (adaptiveCampaignScenario) Params() []scenario.Param {
@@ -43,49 +40,6 @@ func (adaptiveCampaignScenario) Params() []scenario.Param {
 		scenario.Param{Name: "targeting", Type: scenario.Float, Default: 0.0, Min: f64(0), Max: f64(1),
 			Doc: "how strongly phish volume concentrates on low-expertise subjects"},
 	)
-}
-
-func (adaptiveCampaignScenario) Run(ctx context.Context, inst scenario.Instance) ([]scenario.Point, error) {
-	w, err := warningByID(inst.Params.Str("warning"))
-	if err != nil {
-		return nil, err
-	}
-	c := Campaign{
-		Population:  inst.Population,
-		Warning:     w,
-		Days:        inst.Params.Int("days"),
-		PhishPerDay: inst.Params.Float("phish-per-day"),
-		LegitPerDay: inst.Params.Float("legit-per-day"),
-		DetectorTPR: inst.Params.Float("tpr"),
-		DetectorFPR: inst.Params.Float("fpr"),
-		N:           inst.N,
-		Seed:        inst.Seed,
-		Workers:     inst.Workers,
-		Lookalike:   inst.Params.Float("lookalike"),
-		Targeting:   inst.Params.Float("targeting"),
-	}
-	m, err := c.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return []scenario.Point{{
-		Label: w.ID,
-		Run:   m.Run,
-		Values: map[string]float64{
-			"victim_rate":               m.VictimRate,
-			"per_encounter_victim_rate": m.PerEncounterVictimRate,
-			"mean_phish_encounters":     m.MeanPhishEncounters,
-			"mean_false_alarms":         m.MeanFalseAlarms,
-		},
-	}}, nil
-}
-
-// Rederive recomputes the campaign metrics from a merged raw aggregate,
-// implementing scenario.Rederiver — identical to the static campaign's
-// derivation, because the attacker knobs change how subjects are
-// simulated, not how aggregates summarize.
-func (adaptiveCampaignScenario) Rederive(label string, run *sim.Result) (map[string]float64, error) {
-	return campaignScenario{}.Rederive(label, run)
 }
 
 // cfgOr reads a policy-configuration key with a default.

@@ -324,24 +324,131 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 	if err := c.Validate(); err != nil {
 		return CampaignMetrics{}, err
 	}
-	runner := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}
+	// The campaign synthesizes its own Outcome from many encounters, so it
+	// never collects per-encounter traces; pooled receivers keep the
+	// multi-day loop allocation-free.
+	pool := &sync.Pool{New: func() any { return &interpretedReceiver{c: &c} }}
+	res, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}.Run(ctx, c.subject(pool))
+	if err != nil {
+		return CampaignMetrics{}, err
+	}
+	return CampaignMetricsFrom(res), nil
+}
+
+// Compile lowers the campaign into a loop program: the subject loop Run
+// executes, evaluating each warning encounter with lowered stage
+// parameters over agent.Registers instead of a Receiver. RunProgram on
+// the result is bit-identical to Run. It returns an error wrapping
+// sim.ErrNotCompilable for warnings only the interpreter reproduces,
+// including any that installs skills: the loop spans days, and a skill
+// acquired on one day has decayed by a per-subject amount on the next.
+func (c Campaign) Compile() (*sim.Program, error) {
+	(&c).setDefaults()
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if c.Warning.Kind == comms.Policy {
+		return nil, fmt.Errorf("%w: a %s communication's skill decays across campaign days", sim.ErrNotCompilable, c.Warning.Kind)
+	}
+	// Without skills nothing an encounter evaluates depends on its day, so
+	// day 0's lowering serves every day.
+	enc := c.encounter(0, true)
+	hazard, err := agent.LowerEncounter(nil, enc, false, agent.Skill{})
+	if err != nil {
+		return nil, err
+	}
+	enc.HazardPresent = false
+	falseAlarm, err := agent.LowerEncounter(nil, enc, false, agent.Skill{})
+	if err != nil {
+		return nil, err
+	}
+	pool := &sync.Pool{New: func() any { return &loweredReceiver{hazard: hazard, falseAlarm: falseAlarm} }}
+	return sim.NewLoopProgram(c.Population, c.subject(pool))
+}
+
+// encounter is the warning firing on day, on a phish (hazard) or on a
+// legitimate email.
+func (c *Campaign) encounter(day int, hazard bool) agent.Encounter {
+	return agent.Encounter{
+		Comm: c.Warning, Env: c.Env,
+		HazardPresent: hazard, Day: float64(day),
+		Task: gems.LeaveSuspiciousSite(),
+	}
+}
+
+// campaignReceiver evaluates one subject's warning encounters in order,
+// carrying the receiver state they read from each to the next. Run uses
+// an agent.Receiver, Compile lowered encounters over agent.Registers; the
+// subject loop is the same.
+type campaignReceiver interface {
+	// reset starts a new subject.
+	reset(prof population.Profile)
+	// encounter evaluates the warning firing on day.
+	encounter(rng *rand.Rand, day int, hazard bool) (agent.Result, error)
+	// phishingState is the receiver state selfDetects reads: whether the
+	// mental model of phishing is accurate, and the phishing skill level
+	// (0 without one).
+	phishingState() (accurateModel bool, skill float64)
+}
+
+type interpretedReceiver struct {
+	c *Campaign
+	r agent.Receiver
+}
+
+func (ir *interpretedReceiver) reset(prof population.Profile) { ir.r.Reset(prof) }
+
+func (ir *interpretedReceiver) encounter(rng *rand.Rand, day int, hazard bool) (agent.Result, error) {
+	return ir.r.Process(rng, ir.c.encounter(day, hazard))
+}
+
+func (ir *interpretedReceiver) phishingState() (bool, float64) {
+	s, _ := ir.r.SkillFor("phishing")
+	return ir.r.HasAccurateModel("phishing"), s.Level
+}
+
+type loweredReceiver struct {
+	hazard, falseAlarm *agent.StageParams
+	prof               population.Profile
+	reg                agent.Registers
+}
+
+func (lr *loweredReceiver) reset(prof population.Profile) {
+	lr.prof = prof
+	lr.reg = lr.hazard.Fresh()
+}
+
+func (lr *loweredReceiver) encounter(rng *rand.Rand, _ int, hazard bool) (agent.Result, error) {
+	sp := lr.falseAlarm
+	if hazard {
+		sp = lr.hazard
+	}
+	return sp.Eval(rng, &lr.prof, &lr.reg), nil
+}
+
+// phishingState: a lowered warning neither trains nor installs skills, so
+// the mental model is the profile's and there is no skill.
+func (lr *loweredReceiver) phishingState() (bool, float64) {
+	return lr.prof.AccurateMentalModel, 0
+}
+
+// subject is the campaign's subject loop, shared by Run and Compile: each
+// subject handles Days of legitimate and phishing email, and every
+// encounter the warning fires on goes to a campaignReceiver from pool.
+func (c *Campaign) subject(pool *sync.Pool) sim.SubjectFunc {
 	// Attacker effects are threshold shifts, never extra draws, so a zero
 	// Lookalike/Targeting campaign consumes the exact stream the classic
 	// campaign always has.
 	effTPR := c.DetectorTPR * (1 - 0.5*c.Lookalike)
-	// The campaign synthesizes its own Outcome from many encounters, so it
-	// never collects per-encounter traces; pooled receivers keep the
-	// multi-day loop allocation-free.
-	pool := receiverPool(false)
 	legit := newPoisson(c.LegitPerDay)
-	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
+	return func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := c.Population.Sample(rng)
 		// Targeted volume: susceptible subjects (low expertise) see more
 		// phish, savvy ones less, symmetric around the 0.5 midpoint.
 		phish := newPoisson(c.PhishPerDay * (1 + c.Targeting*(0.5-prof.Expertise())))
-		r := pool.Get().(*agent.Receiver)
+		r := pool.Get().(campaignReceiver)
 		defer pool.Put(r)
-		r.Reset(prof)
+		r.reset(prof)
 		phished := false
 		phishSeen, phishedCount, falseAlarms := 0, 0, 0
 		var firstFailure agent.Stage = agent.StageNone
@@ -352,12 +459,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 				if rng.Float64() >= c.DetectorFPR {
 					continue
 				}
-				enc := agent.Encounter{
-					Comm: c.Warning, Env: c.Env,
-					HazardPresent: false, Day: float64(day),
-					Task: gems.LeaveSuspiciousSite(),
-				}
-				if _, err := r.Process(rng, enc); err != nil {
+				if _, err := r.encounter(rng, day, false); err != nil {
 					return sim.Outcome{}, err
 				}
 				falseAlarms++
@@ -368,18 +470,14 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 				phishSeen++
 				if rng.Float64() >= effTPR {
 					// Warning never fires: the user faces the phish alone.
-					if !selfDetects(rng, r, float64(day), c.Lookalike) {
+					accurate, skill := r.phishingState()
+					if !selfDetects(rng, accurate, skill, c.Lookalike) {
 						phished = true
 						phishedCount++
 					}
 					continue
 				}
-				enc := agent.Encounter{
-					Comm: c.Warning, Env: c.Env,
-					HazardPresent: true, Day: float64(day),
-					Task: gems.LeaveSuspiciousSite(),
-				}
-				ar, err := r.Process(rng, enc)
+				ar, err := r.encounter(rng, day, true)
 				if err != nil {
 					return sim.Outcome{}, err
 				}
@@ -407,11 +505,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 			out.FailedStage = agent.StageDelivery
 		}
 		return out, nil
-	})
-	if err != nil {
-		return CampaignMetrics{}, err
 	}
-	return CampaignMetricsFrom(res), nil
 }
 
 // CampaignMetricsFrom derives the campaign's headline metrics from a raw
@@ -440,18 +534,18 @@ func CampaignMetricsFrom(res *sim.Result) CampaignMetrics {
 }
 
 // selfDetects models a user spotting a phish without any warning: rare for
-// naive users, more likely with accurate mental models and training, and
-// harder the more closely the lure mimics the real site (lookalike).
-func selfDetects(rng *rand.Rand, r *agent.Receiver, day, lookalike float64) bool {
+// naive users, more likely with an accurate mental model and phishing
+// skill, and harder the more closely the lure mimics the real site
+// (lookalike).
+func selfDetects(rng *rand.Rand, accurateModel bool, skill, lookalike float64) bool {
 	p := 0.05
-	if r.HasAccurateModel("phishing") {
+	if accurateModel {
 		p += 0.25
 	}
-	if s, ok := r.SkillFor("phishing"); ok {
-		p += 0.4 * s.Level
+	if skill != 0 {
+		p += 0.4 * skill
 	}
 	p *= 1 - 0.7*lookalike
-	_ = day
 	return rng.Float64() < p
 }
 

@@ -2,11 +2,15 @@ package phishing
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hitl/internal/agent"
+	"hitl/internal/comms"
 	"hitl/internal/population"
+	"hitl/internal/sim"
 	"hitl/internal/stimuli"
 )
 
@@ -234,20 +238,26 @@ func TestCampaignBetterDetectorProtects(t *testing.T) {
 func TestCampaignTrainedPopulationSelfDetects(t *testing.T) {
 	// With no detector at all, only mental models and training protect.
 	rng := rand.New(rand.NewSource(1))
-	nov := agent.NewReceiver(population.Novices().Sample(rng))
+	detects := func(r campaignReceiver) bool {
+		accurate, skill := r.phishingState()
+		return selfDetects(rng, accurate, skill, 0)
+	}
+	nov := &interpretedReceiver{}
+	nov.reset(population.Novices().Sample(rng))
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if selfDetects(rng, nov, 0, 0) {
+		if detects(nov) {
 			hits++
 		}
 	}
 	naive := float64(hits) / n
-	tr := agent.NewReceiver(population.Novices().Sample(rng))
-	tr.Train("phishing", agent.Skill{Level: 0.9, Interactivity: 0.9})
+	tr := &interpretedReceiver{}
+	tr.reset(population.Novices().Sample(rng))
+	tr.r.Train("phishing", agent.Skill{Level: 0.9, Interactivity: 0.9})
 	hits = 0
 	for i := 0; i < n; i++ {
-		if selfDetects(rng, tr, 0, 0) {
+		if detects(tr) {
 			hits++
 		}
 	}
@@ -271,5 +281,49 @@ func TestPoisson(t *testing.T) {
 	mean := float64(sum) / n
 	if mean < 2.9 || mean > 3.1 {
 		t.Errorf("poisson(3) sample mean %.3f", mean)
+	}
+}
+
+// TestCampaignCompiledMatchesRun holds the compiled campaign to Run over
+// every warning, detector noise from none to always-on, and the attacker
+// knobs: the raw aggregates must be deeply equal.
+func TestCampaignCompiledMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	for _, cond := range StandardConditions() {
+		for _, fpr := range []float64{0, 0.3, 1} {
+			for _, attacker := range []bool{false, true} {
+				c := Campaign{Warning: cond.Warning, Days: 6, DetectorFPR: fpr, N: 60, Seed: 3, Workers: 2}
+				if attacker {
+					c.Lookalike, c.Targeting = 0.4, 0.7
+				}
+				want, err := c.Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := c.Compile()
+				if err != nil {
+					t.Fatalf("%s fpr=%v: Compile: %v", cond.Name, fpr, err)
+				}
+				got, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}.RunProgram(ctx, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Run, got) {
+					t.Errorf("%s fpr=%v attacker=%v: compiled campaign differs from Run", cond.Name, fpr, attacker)
+				}
+			}
+		}
+	}
+}
+
+// TestCampaignCompileRefusesSkillInstallers: a campaign spans days, so a
+// communication whose acquisition installs skills (or corrects the mental
+// model) has no lowering; the scenario layer then interprets it.
+func TestCampaignCompileRefusesSkillInstallers(t *testing.T) {
+	for _, comm := range []comms.Communication{comms.PasswordPolicyDocument(), comms.AntiPhishingTraining()} {
+		c := Campaign{Warning: comm, Days: 3, N: 10}
+		if _, err := c.Compile(); !errors.Is(err, sim.ErrNotCompilable) {
+			t.Errorf("%s: want ErrNotCompilable, got %v", comm.ID, err)
+		}
 	}
 }

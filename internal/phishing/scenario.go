@@ -180,11 +180,40 @@ func (campaignScenario) Params() []scenario.Param {
 }
 
 func (campaignScenario) Run(ctx context.Context, inst scenario.Instance) ([]scenario.Point, error) {
-	w, err := warningByID(inst.Params.Str("warning"))
+	c, err := campaignFor(inst)
 	if err != nil {
 		return nil, err
 	}
-	c := Campaign{
+	m, err := c.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return []scenario.Point{{Label: c.Warning.ID, Run: m.Run, Values: m.values()}}, nil
+}
+
+// Compile lowers the campaign instance to its loop program, implementing
+// scenario.Compiler.
+func (campaignScenario) Compile(inst scenario.Instance) ([]scenario.ProgramUnit, error) {
+	c, err := campaignFor(inst)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := c.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return []scenario.ProgramUnit{{Label: c.Warning.ID, Seed: c.Seed, Prog: prog}}, nil
+}
+
+// campaignFor builds the Campaign an instance describes. The static
+// campaign's schema has no attacker knobs, so they read as zero there:
+// the classic campaign.
+func campaignFor(inst scenario.Instance) (Campaign, error) {
+	w, err := warningByID(inst.Params.Str("warning"))
+	if err != nil {
+		return Campaign{}, err
+	}
+	return Campaign{
 		Population:  inst.Population,
 		Warning:     w,
 		Days:        inst.Params.Int("days"),
@@ -195,31 +224,23 @@ func (campaignScenario) Run(ctx context.Context, inst scenario.Instance) ([]scen
 		N:           inst.N,
 		Seed:        inst.Seed,
 		Workers:     inst.Workers,
-	}
-	m, err := c.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return []scenario.Point{{
-		Label: w.ID,
-		Run:   m.Run,
-		Values: map[string]float64{
-			"victim_rate":               m.VictimRate,
-			"per_encounter_victim_rate": m.PerEncounterVictimRate,
-			"mean_phish_encounters":     m.MeanPhishEncounters,
-			"mean_false_alarms":         m.MeanFalseAlarms,
-		},
-	}}, nil
+		Lookalike:   inst.Params.Float("lookalike"),
+		Targeting:   inst.Params.Float("targeting"),
+	}, nil
 }
 
 // Rederive recomputes campaign metrics from a raw aggregate via the same
 // pure derivation Run uses, implementing scenario.Rederiver.
 func (campaignScenario) Rederive(label string, run *sim.Result) (map[string]float64, error) {
-	m := CampaignMetricsFrom(run)
+	return CampaignMetricsFrom(run).values(), nil
+}
+
+// values is a campaign point's metric map.
+func (m CampaignMetrics) values() map[string]float64 {
 	return map[string]float64{
 		"victim_rate":               m.VictimRate,
 		"per_encounter_victim_rate": m.PerEncounterVictimRate,
 		"mean_phish_encounters":     m.MeanPhishEncounters,
 		"mean_false_alarms":         m.MeanFalseAlarms,
-	}, nil
+	}
 }

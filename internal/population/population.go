@@ -169,19 +169,19 @@ func (p Profile) Ext(j int) float64 { return p.ext[j] }
 
 // Named accessors for the core dimensions. These are the stage models'
 // read path: each is a compiled-index read, so they inline to a single
-// array load.
+// array load. They take a pointer so a call never copies the profile.
 
-func (p Profile) Education() float64          { return p.core[DimEducation] }
-func (p Profile) TechExpertise() float64      { return p.core[DimTechExpertise] }
-func (p Profile) SecurityKnowledge() float64  { return p.core[DimSecurityKnowledge] }
-func (p Profile) MemoryCapacity() float64     { return p.core[DimMemoryCapacity] }
-func (p Profile) VisualAcuity() float64       { return p.core[DimVisualAcuity] }
-func (p Profile) MotorSkill() float64         { return p.core[DimMotorSkill] }
-func (p Profile) RiskPerception() float64     { return p.core[DimRiskPerception] }
-func (p Profile) TrustInSecurityUI() float64  { return p.core[DimTrustInSecurityUI] }
-func (p Profile) SelfEfficacy() float64       { return p.core[DimSelfEfficacy] }
-func (p Profile) PrimaryTaskFocus() float64   { return p.core[DimPrimaryTaskFocus] }
-func (p Profile) ComplianceTendency() float64 { return p.core[DimComplianceTendency] }
+func (p *Profile) Education() float64          { return p.core[DimEducation] }
+func (p *Profile) TechExpertise() float64      { return p.core[DimTechExpertise] }
+func (p *Profile) SecurityKnowledge() float64  { return p.core[DimSecurityKnowledge] }
+func (p *Profile) MemoryCapacity() float64     { return p.core[DimMemoryCapacity] }
+func (p *Profile) VisualAcuity() float64       { return p.core[DimVisualAcuity] }
+func (p *Profile) MotorSkill() float64         { return p.core[DimMotorSkill] }
+func (p *Profile) RiskPerception() float64     { return p.core[DimRiskPerception] }
+func (p *Profile) TrustInSecurityUI() float64  { return p.core[DimTrustInSecurityUI] }
+func (p *Profile) SelfEfficacy() float64       { return p.core[DimSelfEfficacy] }
+func (p *Profile) PrimaryTaskFocus() float64   { return p.core[DimPrimaryTaskFocus] }
+func (p *Profile) ComplianceTendency() float64 { return p.core[DimComplianceTendency] }
 
 // NewProfile builds a profile from a dimension map. Core names set the
 // compiled vector; unknown names are an error (extension values are
@@ -228,7 +228,7 @@ func (p Profile) Validate() error {
 
 // Expertise is a convenience blend of technical and security knowledge used
 // by comprehension models.
-func (p Profile) Expertise() float64 {
+func (p *Profile) Expertise() float64 {
 	return 0.4*p.core[DimTechExpertise] + 0.6*p.core[DimSecurityKnowledge]
 }
 

@@ -91,12 +91,13 @@ type ProgramUnit struct {
 // the same order, with the same labels and per-condition seeds — the
 // engine then guarantees RunProgram results bit-identical to Run's.
 //
-// The engine builds each compiled (or analytic) point with the generic
-// heed_rate metric; a scenario whose Run derives additional per-point
-// values has no compiled equivalent for them and must not implement
-// Compiler until it does. Compile returns an error wrapping
-// sim.ErrNotCompilable for instances only the interpreter reproduces;
-// runEngine falls back silently.
+// The engine takes each compiled point's Values from the scenario's
+// Rederiver (the generic heed_rate alone when it has none), so a scenario
+// whose Run derives richer per-point values must implement Rederiver to
+// implement Compiler. Analytic points carry heed_rate only, which is why
+// a program with a subject loop is never analytic. Compile returns an
+// error wrapping sim.ErrNotCompilable for instances only the interpreter
+// reproduces; runEngine falls back silently.
 type Compiler interface {
 	Compile(inst Instance) ([]ProgramUnit, error)
 }
@@ -160,11 +161,11 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 		if err != nil {
 			return nil, "", fmt.Errorf("scenario %s: compiled %s: %w", sc.Name(), u.Label, err)
 		}
-		pts[i] = Point{
-			Label:  u.Label,
-			Run:    res,
-			Values: map[string]float64{"heed_rate": res.HeedRate()},
+		vals, err := rederive(sc, Point{Label: u.Label}, res)
+		if err != nil {
+			return nil, "", fmt.Errorf("scenario %s: compiled %s: %w", sc.Name(), u.Label, err)
 		}
+		pts[i] = Point{Label: u.Label, Run: res, Values: vals}
 	}
 	return pts, sim.EngineCompiled, nil
 }

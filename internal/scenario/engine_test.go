@@ -7,12 +7,15 @@ package scenario_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"hitl/internal/agent"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all"
 	"hitl/internal/sim"
@@ -33,11 +36,15 @@ func runEngineSpec(t *testing.T, spec scenario.Spec, eng scenario.Engine, worker
 	return res
 }
 
+// analyticExamples names the example specs auto answers in closed form;
+// every other example is a Monte Carlo spec auto must run compiled.
+var analyticExamples = map[string]bool{"phishing-study-mean.json": true}
+
 // TestExamplesEngineBitIdentity forces every example spec down the
 // interpreted and the compiled path, across seeds and worker counts, and
-// requires identical points. Scenarios (or shapes) the compiler refuses
-// must fall back to the interpreter silently — the forced-compiled run
-// then IS the interpreted run, and the comparison still holds.
+// requires identical points. Every example must actually take the
+// compiled path, forced and (unless answered analytically) under auto: a
+// silent fallback to the interpreter would make the comparison vacuous.
 func TestExamplesEngineBitIdentity(t *testing.T) {
 	entries, err := os.ReadDir(examplesDir)
 	if err != nil {
@@ -60,22 +67,22 @@ func TestExamplesEngineBitIdentity(t *testing.T) {
 						t.Fatalf("seed=%d workers=%d: compiled points diverge from interpreted\ninterpreted: %+v\ncompiled:    %+v",
 							seed, workers, interp.Points, comp.Points)
 					}
-					if comp.EnginePath != sim.EngineCompiled && comp.EnginePath != sim.EngineInterpreted {
-						t.Fatalf("seed=%d workers=%d: unexpected engine path %q", seed, workers, comp.EnginePath)
+					if comp.EnginePath != sim.EngineCompiled {
+						t.Fatalf("seed=%d workers=%d: forced compiled ran %q", seed, workers, comp.EnginePath)
 					}
+				}
+				if analyticExamples[e.Name()] {
+					continue
+				}
+				auto := runEngineSpec(t, spec, scenario.EngineAuto, 1)
+				if auto.EnginePath != sim.EngineCompiled {
+					t.Fatalf("seed=%d: auto ran %q, want compiled", seed, auto.EnginePath)
+				}
+				if !reflect.DeepEqual(interp.Points, auto.Points) {
+					t.Fatalf("seed=%d: auto points diverge from interpreted", seed)
 				}
 			}
 		})
-	}
-
-	// The phishing study must actually take the compiled path — a silent
-	// universal fallback would render the corpus comparison vacuous.
-	spec := readExample(t, "phishing-study.json")
-	if got := runEngineSpec(t, spec, scenario.EngineCompiled, 1).EnginePath; got != sim.EngineCompiled {
-		t.Fatalf("phishing-study forced compiled ran %q", got)
-	}
-	if got := runEngineSpec(t, spec, scenario.EngineAuto, 1).EnginePath; got != sim.EngineCompiled {
-		t.Fatalf("phishing-study auto ran %q, want compiled", got)
 	}
 }
 
@@ -143,14 +150,16 @@ func TestEngineStrictAndFallbackRules(t *testing.T) {
 		t.Error("forced analytic on a diverse population: want error, got nil")
 	}
 
-	campaign := scenario.Spec{Scenario: "phishing-campaign", N: 100, Seed: 3,
-		Params: map[string]any{"days": 5}}
-	if _, err := scenario.Run(ctx, campaign); err == nil {
+	refusing := scenario.Spec{Scenario: refusingScenario{}.Name(), N: 100, Seed: 3}
+	if _, err := scenario.Run(ctx, refusing); err == nil {
 		t.Error("forced analytic on a non-compilable scenario: want error, got nil")
 	}
-	res := runEngineSpec(t, campaign, scenario.EngineCompiled, 1)
+	res := runEngineSpec(t, refusing, scenario.EngineCompiled, 1)
 	if res.EnginePath != sim.EngineInterpreted {
 		t.Errorf("forced compiled on a non-compilable scenario ran %q, want silent interpreted fallback", res.EnginePath)
+	}
+	if !reflect.DeepEqual(res.Points, runEngineSpec(t, refusing, scenario.EngineInterpreted, 1).Points) {
+		t.Error("fallback run differs from the interpreted run")
 	}
 
 	// A trace recorder needs real interpreted subjects; auto must yield.
@@ -169,5 +178,55 @@ func TestEngineStrictAndFallbackRules(t *testing.T) {
 	}
 	if eng, err := scenario.ParseEngine(""); err != nil || eng != scenario.EngineAuto {
 		t.Errorf("ParseEngine(\"\") = %v, %v; want auto", eng, err)
+	}
+}
+
+// refusingScenario's Compile refuses every instance, the way a scenario
+// refuses shapes only its interpreter reproduces.
+type refusingScenario struct{}
+
+func init() { scenario.Register(refusingScenario{}) }
+
+func (refusingScenario) Name() string { return "engine-test-refusing" }
+func (refusingScenario) Doc() string  { return "engine test scenario whose compiler refuses" }
+func (refusingScenario) Defaults() scenario.Defaults {
+	return scenario.Defaults{Population: "general-public-mean", N: 100}
+}
+func (refusingScenario) Params() []scenario.Param { return nil }
+
+func (refusingScenario) Run(ctx context.Context, inst scenario.Instance) ([]scenario.Point, error) {
+	res, err := sim.Runner{Seed: inst.Seed, N: inst.N, Workers: inst.Workers}.Run(ctx,
+		func(rng *rand.Rand, _ int) (sim.Outcome, error) {
+			return sim.Outcome{Heeded: rng.Float64() < 0.5, FailedStage: agent.StageNone}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return []scenario.Point{{Label: "only", Run: res, Values: map[string]float64{"heed_rate": res.HeedRate()}}}, nil
+}
+
+func (refusingScenario) Compile(scenario.Instance) ([]scenario.ProgramUnit, error) {
+	return nil, fmt.Errorf("%w: refused for the test", sim.ErrNotCompilable)
+}
+
+// TestLoopProgramNeverAnalytic runs a campaign on a mean-field population,
+// whose every subject samples the same profile: the single-encounter
+// closed form must not answer it, because a campaign subject meets many
+// encounters. Auto runs it compiled and matches the interpreter; forced
+// analytic refuses.
+func TestLoopProgramNeverAnalytic(t *testing.T) {
+	spec := scenario.Spec{Scenario: "phishing-campaign", Population: "general-public-mean", N: 300, Seed: 5,
+		Params: map[string]any{"days": 10, "warning": "ie-passive", "fpr": 0.3}}
+	interp := runEngineSpec(t, spec, scenario.EngineInterpreted, 1)
+	auto := runEngineSpec(t, spec, scenario.EngineAuto, 2)
+	if auto.EnginePath != sim.EngineCompiled {
+		t.Fatalf("auto ran %q, want compiled", auto.EnginePath)
+	}
+	if !reflect.DeepEqual(interp.Points, auto.Points) {
+		t.Fatalf("compiled points diverge from interpreted\ninterpreted: %+v\ncompiled:    %+v", interp.Points, auto.Points)
+	}
+	ctx := scenario.WithEngine(context.Background(), scenario.EngineAnalytic)
+	if _, err := scenario.Run(ctx, spec); err == nil {
+		t.Error("forced analytic on a campaign: want error, got nil")
 	}
 }

@@ -142,6 +142,42 @@ func TestGoldenPhishingCampaign(t *testing.T) {
 	})
 }
 
+// TestGoldenPhishingCampaignIEPassive pins the corpus's habituation
+// example: the IE passive warning (passiveness 0.75, dismissal race)
+// under a noisy detector, so both the exposure and the false-alarm
+// registers of a compiled campaign change what subjects do.
+func TestGoldenPhishingCampaignIEPassive(t *testing.T) {
+	ctx := context.Background()
+	res, err := scenario.Run(ctx, readExample(t, "phishing-campaign-ie-passive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := phishing.Campaign{
+		Population:  population.GeneralPublic(),
+		Warning:     phishing.StandardConditions()[2].Warning,
+		Days:        30,
+		PhishPerDay: 0.2, LegitPerDay: 10,
+		DetectorTPR: 0.9, DetectorFPR: 0.2,
+		N: 400, Seed: 19,
+	}
+	if c.Warning.ID != "ie-passive" {
+		t.Fatalf("standard condition order changed: third warning is %s", c.Warning.ID)
+	}
+	m, err := c.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 1 {
+		t.Fatalf("%d points, want 1", len(res.Points))
+	}
+	wantPoint(t, res.Points[0], "ie-passive", m.Run, map[string]float64{
+		"victim_rate":               m.VictimRate,
+		"per_encounter_victim_rate": m.PerEncounterVictimRate,
+		"mean_phish_encounters":     m.MeanPhishEncounters,
+		"mean_false_alarms":         m.MeanFalseAlarms,
+	})
+}
+
 // TestGoldenPhishingAdaptiveCampaign pins the episodic example to a
 // programmatic twin for its opening round: the phish-escalation policy's
 // round-0 overrides are its configured starting knobs, so round 0 must be

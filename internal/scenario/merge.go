@@ -166,10 +166,11 @@ func ShardSpecs(parent Spec, count int) ([]Spec, error) {
 	return out, nil
 }
 
-// rederive recomputes a merged point's metric map. Scenarios implementing
-// Rederiver own the computation; otherwise only the generic heed_rate —
-// the one metric the engine itself derives — can be reproduced, and any
-// richer point refuses to merge rather than silently averaging wrong.
+// rederive recomputes a point's metric map from a raw aggregate: a merged
+// shard cover, or a compiled run. Scenarios implementing Rederiver own the
+// computation; otherwise only the generic heed_rate — the one metric the
+// engine itself derives — can be reproduced, and any richer point refuses
+// to merge rather than silently averaging wrong.
 func rederive(sc Scenario, shardPoint Point, merged *sim.Result) (map[string]float64, error) {
 	if rd, ok := sc.(Rederiver); ok {
 		return rd.Rederive(shardPoint.Label, merged)

@@ -4,8 +4,11 @@ package sim
 // stage models (via agent.LowerEncounter) plus a population spec into a
 // flat Program, evaluated by the same scheduling/containment machinery as
 // the interpreted path but without a Receiver, without maps, and without
-// per-subject allocations. On top of compilation sits the analytic engine:
-// for populations whose sampled profiles are all identical (see
+// per-subject allocations. A scenario whose subjects meet several
+// encounters compiles to a loop program instead: its own subject loop,
+// evaluating lowered encounters over agent.Registers. On top of
+// compilation sits the analytic engine: for single-encounter programs
+// over populations whose sampled profiles are all identical (see
 // population.Spec.MeanField), every subject is an independent Bernoulli
 // chain with the same stage thresholds, so the aggregate distribution has
 // a closed form and needs no Monte Carlo at all.
@@ -34,32 +37,33 @@ const (
 // with a single sentinel.
 var ErrNotCompilable = agent.ErrNotLowerable
 
-// Program is one compiled run: a population to sample and a lowered
-// encounter to evaluate each sample against. Subject i draws its profile
-// and its stage outcomes from the same deterministic stream subject i of
-// the equivalent interpreted run uses, in the same order, so results are
+// Program is one compiled run: a population to sample and either one
+// lowered encounter to evaluate each sample against, or a scenario's
+// subject loop over lowered encounters. Subject i draws its profile and
+// its stage outcomes from the same deterministic stream subject i of the
+// equivalent interpreted run uses, in the same order, so results are
 // bit-identical to Run with the corresponding SubjectFunc.
 type Program struct {
 	// Pop is sampled once per subject, consuming the leading draws of the
 	// subject's stream exactly as interpreted scenarios do.
 	Pop population.Spec
-	// Params is the lowered encounter evaluated against each sample.
+	// Params is the lowered encounter evaluated against each sample, on
+	// fresh registers; nil for a loop program.
 	Params *agent.StageParams
+	// Loop is a loop program's subject function: the scenario's own
+	// subject loop (sampling Pop itself) over lowered encounters. It must
+	// be safe for concurrent use, like any SubjectFunc.
+	Loop SubjectFunc
 }
 
 // NewProgram compiles (population, encounter) into a Program. It returns
 // an error wrapping ErrNotCompilable for shapes only the interpreter
-// reproduces: encounters agent.LowerEncounter refuses (skill-installing
+// reproduces: encounters agent.LowerEncounter refuses (training
 // communications, delayed application, decaying trained skills), and
-// populations that can sample ages outside the [0, 130] the interpreted
-// path's per-subject profile validation enforces — compilation validates
-// once, so it must be able to prove every sample valid up front.
+// populations checkPopulation refuses.
 func NewProgram(pop population.Spec, m *agent.Model, e agent.Encounter, trained bool, skill agent.Skill) (*Program, error) {
-	if err := pop.Validate(); err != nil {
+	if err := checkPopulation(pop); err != nil {
 		return nil, err
-	}
-	if pop.AgeMax > 130 {
-		return nil, fmt.Errorf("%w: population %q can sample ages beyond 130, which per-subject validation would reject", ErrNotCompilable, pop.Name)
 	}
 	sp, err := agent.LowerEncounter(m, e, trained, skill)
 	if err != nil {
@@ -68,15 +72,49 @@ func NewProgram(pop population.Spec, m *agent.Model, e agent.Encounter, trained 
 	return &Program{Pop: pop, Params: sp}, nil
 }
 
-// subject returns the compiled subject evaluator. The profile is a stack
-// value and StageParams.Eval neither allocates nor retains it, so the
-// returned SubjectFunc is allocation-free per subject in steady state.
+// NewLoopProgram wraps a scenario's subject loop over lowered encounters
+// as a compiled program over pop, refusing the populations NewProgram
+// refuses. The loop must consume each subject's stream exactly as the
+// scenario's interpreted SubjectFunc does; scenarios get that by running
+// one loop on both paths and changing only how an encounter is evaluated.
+func NewLoopProgram(pop population.Spec, loop SubjectFunc) (*Program, error) {
+	if loop == nil {
+		return nil, fmt.Errorf("sim: nil subject loop")
+	}
+	if err := checkPopulation(pop); err != nil {
+		return nil, err
+	}
+	return &Program{Pop: pop, Loop: loop}, nil
+}
+
+// checkPopulation validates a compiled program's population once, which
+// must prove every sample valid up front: populations that can sample
+// ages outside the [0, 130] the interpreted path's per-subject profile
+// validation enforces are refused with ErrNotCompilable.
+func checkPopulation(pop population.Spec) error {
+	if err := pop.Validate(); err != nil {
+		return err
+	}
+	if pop.AgeMax > 130 {
+		return fmt.Errorf("%w: population %q can sample ages beyond 130, which per-subject validation would reject", ErrNotCompilable, pop.Name)
+	}
+	return nil
+}
+
+// subject returns the compiled subject evaluator. The profile and the
+// registers are stack values and StageParams.Eval neither allocates nor
+// retains them, so the returned SubjectFunc is allocation-free per
+// subject in steady state.
 func (p *Program) subject() SubjectFunc {
+	if p.Loop != nil {
+		return p.Loop
+	}
 	pop := p.Pop
 	sp := p.Params
 	return func(rng *rand.Rand, _ int) (Outcome, error) {
 		prof := pop.Sample(rng)
-		return FromAgentResult(sp.Eval(rng, &prof)), nil
+		reg := sp.Fresh()
+		return FromAgentResult(sp.Eval(rng, &prof, &reg)), nil
 	}
 }
 
@@ -88,7 +126,7 @@ func (p *Program) subject() SubjectFunc {
 // probes never fire — callers that need either keep using Run; the
 // scenario layer's engine selection enforces this.
 func (ru Runner) RunProgram(ctx context.Context, p *Program) (*Result, error) {
-	if p == nil || p.Params == nil {
+	if p == nil || (p.Params == nil && p.Loop == nil) {
 		return nil, fmt.Errorf("sim: nil program")
 	}
 	return ru.run(ctx, p.subject(), EngineCompiled)
@@ -115,13 +153,19 @@ type Distribution struct {
 	Heuristic float64 `json:"heuristic,omitempty"`
 }
 
-// AnalyticEligible reports whether every subject the program samples is
-// statistically identical: all trait spreads zero, no expert
-// subpopulation, and a degenerate mental-model coin. Then the run is N
-// independent Bernoulli chains with one shared threshold vector and
-// Exact computes the aggregate law in closed form.
-// population.Spec.MeanField produces eligible specs.
+// AnalyticEligible reports whether the program is one encounter and every
+// subject it samples is statistically identical: all trait spreads zero,
+// no expert subpopulation, and a degenerate mental-model coin. Then the
+// run is N independent Bernoulli chains with one shared threshold vector
+// and Exact computes the aggregate law in closed form.
+// population.Spec.MeanField produces eligible specs. A loop program is
+// never eligible: its subjects' encounters depend on draws earlier in the
+// loop (how many emails arrive, what habituation has accrued), which no
+// single threshold vector describes.
 func (p *Program) AnalyticEligible() bool {
+	if p.Loop != nil {
+		return false
+	}
 	s := p.Pop
 	if s.ExpertFraction != 0 {
 		return false
@@ -173,6 +217,9 @@ func (p *Program) meanSubject() population.Profile {
 // per-step lapse/slip, then evaluation gulf (an unverified completion
 // that still counts as heeded) — and the remainder completes verified.
 func (p *Program) Exact() (*Distribution, error) {
+	if p.Loop != nil {
+		return nil, fmt.Errorf("%w: a subject loop has no closed form", ErrNotCompilable)
+	}
 	if !p.AnalyticEligible() {
 		return nil, fmt.Errorf("%w: population %q samples non-identical subjects; analytic aggregation needs a mean-field spec", ErrNotCompilable, p.Pop.Name)
 	}

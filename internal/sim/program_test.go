@@ -107,6 +107,22 @@ func TestNewProgramRefusals(t *testing.T) {
 	if _, err := NewProgram(old, nil, studyEncounter(comms.FirefoxActiveWarning()), false, agent.Skill{}); !errors.Is(err, ErrNotCompilable) {
 		t.Errorf("out-of-range ages: want ErrNotCompilable, got %v", err)
 	}
+	loop := func(*rand.Rand, int) (Outcome, error) { return Outcome{}, nil }
+	if _, err := NewLoopProgram(old, loop); !errors.Is(err, ErrNotCompilable) {
+		t.Errorf("loop program, out-of-range ages: want ErrNotCompilable, got %v", err)
+	}
+
+	// A loop program has no closed form, even over a mean-field population.
+	prog, err := NewLoopProgram(pop.MeanField(), loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.AnalyticEligible() {
+		t.Error("loop program reported analytic-eligible")
+	}
+	if _, err := prog.Exact(); !errors.Is(err, ErrNotCompilable) {
+		t.Errorf("loop program Exact: want ErrNotCompilable, got %v", err)
+	}
 }
 
 // TestAnalyticMatchesMonteCarlo is the pinned statistical cross-check: the

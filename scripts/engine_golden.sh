@@ -4,9 +4,11 @@
 # examples/scenarios/ runs through the hitl-sim CLI twice — once with
 # -engine interpreted, once with -engine compiled — and the rendered
 # stdout (tables, labels, every formatted metric digit) must be
-# byte-identical. Specs the compiler refuses fall back to the interpreter
-# under -engine compiled, so the diff holds trivially for them too; the
-# per-spec engine paths (from stderr) are recorded alongside the outputs.
+# byte-identical. Every example spec compiles, so each -engine compiled
+# run must also report engine path "compiled": a spec the compiler refused
+# would fall back to the interpreter and pass the diff trivially, so a
+# fallback fails the check. The per-spec engine paths (from stderr) are
+# recorded alongside the outputs.
 #
 # Outputs land under ENGINE_GOLDEN_DIR (default: a temp dir) as
 # <spec>.interpreted.txt / <spec>.compiled.txt plus engine_paths.txt, so
@@ -37,6 +39,10 @@ for spec in examples/scenarios/*.json; do
     echo "engine-golden: MISMATCH: $spec renders differently interpreted vs compiled" >&2
     fail=1
   fi
+  if ! grep -qx 'hitl-sim: engine path: compiled' "$OUT_DIR/$name.compiled.err"; then
+    echo "engine-golden: FALLBACK: $spec did not run compiled under -engine compiled" >&2
+    fail=1
+  fi
 done
 
 rm -f "$BIN"
@@ -44,4 +50,4 @@ if [ "$fail" -ne 0 ]; then
   echo "engine-golden: FAIL (outputs in $OUT_DIR)" >&2
   exit 1
 fi
-echo "engine-golden: OK — all example specs byte-identical across engines (outputs in $OUT_DIR)"
+echo "engine-golden: OK — all example specs compiled and byte-identical across engines (outputs in $OUT_DIR)"
