@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci lint build vet test race bench bench-check bench-diff microbench chaos scenarios-smoke engine-golden jobs-smoke cluster-smoke experiments examples fmt cover clean
+.PHONY: all ci lint build vet test race fuzz bench bench-check bench-diff microbench chaos scenarios-smoke engine-golden jobs-smoke cluster-smoke experiments examples fmt cover clean
 
 all: build vet test
 
@@ -29,6 +29,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs FuzzSpec (internal/scenario) for 30s: for any spec ParseSpec
+# accepts, errors are *SpecError, Normalize is idempotent, and the one-pass
+# digest front doors compute at decode equals Canonical of the raw spec.
+# Its seed corpus (examples/scenarios) already runs under `go test ./...`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 30s ./internal/scenario
 
 # bench emits the engine-throughput artifact (1/4/GOMAXPROCS workers,
 # subject tracing off and on, allocs/op, server cache timings), embedding

@@ -15,8 +15,8 @@
 // spec (see internal/faults) to every run — useful for chaos drills and
 // sensitivity checks; faulted output no longer matches EXPERIMENTS.md.
 // -report out.json writes a run report aggregated across every Monte Carlo
-// run of the suite: phase wall times, per-stage failure attribution, fired
-// fault rules, and engine metric deltas.
+// run of the suite: phase wall times, per-stage failure attribution, and
+// fired fault rules.
 package main
 
 import (
@@ -31,9 +31,7 @@ import (
 
 	"hitl/internal/experiments"
 	"hitl/internal/faults"
-	"hitl/internal/report"
-	"hitl/internal/sim"
-	"hitl/internal/telemetry"
+	"hitl/internal/scenario"
 )
 
 func main() {
@@ -60,31 +58,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var rec *telemetry.Recorder
-	if *traceOut != "" {
-		rec = telemetry.NewRecorder(*traceSample, *seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	var tracer *telemetry.Tracer
-	if *spansOut != "" {
-		tracer = telemetry.NewTracer(nil)
-		ctx = telemetry.WithTracer(ctx, tracer)
-	}
 	faultSet, err := faults.Parse(*faultSpec)
 	if err != nil {
 		fatal(err)
 	}
 	if !faultSet.Empty() {
-		ctx = sim.WithInjector(ctx, faultSet)
 		fmt.Fprintf(os.Stderr, "hitl-experiments: fault injection active: %s\n", faultSet.Describe())
 	}
-	var col *sim.ReportCollector
-	var before telemetry.MetricsSnapshot
-	if *reportOut != "" {
-		col = sim.NewReportCollector()
-		ctx = sim.WithReportCollector(ctx, col)
-		before = telemetry.Snapshot()
+	opts := scenario.Options{Faults: faultSet, Spans: *spansOut != "", Report: *reportOut != ""}
+	if *traceOut != "" {
+		opts.TraceSample = max(*traceSample, 1)
 	}
+	ctx, ex := scenario.Attach(ctx, *seed, opts)
 
 	cfg := experiments.Config{Seed: *seed, N: *n}
 	var outs []*experiments.Output
@@ -109,29 +94,20 @@ func main() {
 		}
 	}
 
-	if rec != nil {
+	if rec := ex.Recorder; rec != nil {
 		if err := writeFile(*traceOut, rec.WriteJSONL); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "hitl-experiments: wrote %d of %d subject traces to %s\n",
 			len(rec.Traces()), rec.Offered(), *traceOut)
 	}
-	if tracer != nil {
-		if err := writeFile(*spansOut, tracer.WriteJSON); err != nil {
+	if ex.Tracer != nil {
+		if err := writeFile(*spansOut, ex.Tracer.WriteJSON); err != nil {
 			fatal(err)
 		}
 	}
-	if col != nil {
-		rep := report.FromEngine(col.Reports())
+	if rep := ex.Finish(); rep != nil {
 		rep.Seed = *seed
-		if !faultSet.Empty() {
-			rep.FaultSpec = faultSet.String()
-			for _, st := range faultSet.Stats() {
-				rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-			}
-		}
-		delta := telemetry.Snapshot().Delta(before)
-		rep.Engine = &delta
 		if err := writeFile(*reportOut, rep.WriteJSON); err != nil {
 			fatal(err)
 		}

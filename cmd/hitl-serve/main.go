@@ -29,7 +29,7 @@
 // concurrently; up to -max-queue more wait, each at most -queue-timeout,
 // and everything beyond that is shed with 429 + Retry-After. Admitted
 // requests get -compute-timeout of compute before a 503. -allow-faults
-// enables the ?faults= chaos-drill parameter on experiment runs (keep it
+// enables the ?faults= chaos-drill parameter on compute runs (keep it
 // off on anything public).
 //
 // Cluster mode: -workers (comma-separated URLs) or -workers-file (one URL
@@ -165,7 +165,7 @@ func main() {
 	computeTimeout := flag.Duration("compute-timeout", 60*time.Second,
 		"per-request compute deadline (503 on expiry; negative = unlimited)")
 	allowFaults := flag.Bool("allow-faults", false,
-		"enable the ?faults= chaos-drill parameter on experiment runs")
+		"enable the ?faults= chaos-drill parameter on compute runs")
 	storeDir := flag.String("store-dir", "",
 		"persistent content-addressed result store for async jobs (empty = memory-only)")
 	jobWorkers := flag.Int("job-workers", 0,

@@ -32,8 +32,9 @@
 //
 // Diagnostics: -report out.json writes a full-fidelity run report — seed,
 // canonical spec digest, worker counts, per-phase wall times, per-stage
-// failure attribution, fired fault rules, and engine metric deltas — after
-// the run ("-" writes it to stderr, keeping stdout diffable).
+// failure attribution, and fired fault rules, all taken from this run's
+// own engine runs — after the run ("-" writes it to stderr, keeping stdout
+// diffable).
 package main
 
 import (
@@ -48,11 +49,8 @@ import (
 
 	"hitl/internal/faults"
 	"hitl/internal/population"
-	"hitl/internal/report"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all" // register the built-in scenarios
-	"hitl/internal/sim"
-	"hitl/internal/telemetry"
 )
 
 func main() {
@@ -159,68 +157,44 @@ func main() {
 		ctx = scenario.WithEngine(ctx, eng)
 	}
 
-	var rec *telemetry.Recorder
-	if *traceOut != "" {
-		rec = telemetry.NewRecorder(*traceSample, spec.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	var tracer *telemetry.Tracer
-	if *spansOut != "" {
-		tracer = telemetry.NewTracer(nil)
-		ctx = telemetry.WithTracer(ctx, tracer)
-	}
 	if !faultSet.Empty() {
-		ctx = sim.WithInjector(ctx, faultSet)
 		fmt.Fprintf(os.Stderr, "hitl-sim: fault injection active: %s\n", faultSet.Describe())
 	}
-	var col *sim.ReportCollector
-	var before telemetry.MetricsSnapshot
-	if *reportOut != "" {
-		col = sim.NewReportCollector()
-		ctx = sim.WithReportCollector(ctx, col)
-		before = telemetry.Snapshot()
+	opts := scenario.Options{Faults: faultSet, Spans: *spansOut != "", Report: *reportOut != ""}
+	if *traceOut != "" {
+		opts.TraceSample = max(*traceSample, 1)
 	}
-
-	res, err := scenario.Run(ctx, spec)
+	norm, err := scenario.Normalize(spec)
 	if err != nil {
 		fatal(err)
 	}
-	must(res.Table().WriteText(os.Stdout))
+	digest, err := scenario.Digest(norm)
+	if err != nil {
+		fatal(err)
+	}
+	ex, err := scenario.Execute(ctx, norm, digest, opts)
+	if err != nil {
+		fatal(err)
+	}
+	must(ex.Result.Table().WriteText(os.Stdout))
 	// The engine path goes to stderr: stdout stays diffable across engines
 	// (interpreted and compiled output is bit-identical by contract).
-	fmt.Fprintf(os.Stderr, "hitl-sim: engine path: %s\n", res.EnginePath)
+	fmt.Fprintf(os.Stderr, "hitl-sim: engine path: %s\n", ex.Result.EnginePath)
 
-	if col != nil {
-		rep := report.FromEngine(col.Reports())
-		rep.Scenario = res.Scenario
-		rep.EnginePath = res.EnginePath
-		rep.Seed = res.Spec.Seed
-		rep.N = res.Spec.N
-		if digest, derr := scenario.Canonical(res.Spec); derr == nil {
-			rep.SpecDigest = digest
-		}
-		if !faultSet.Empty() {
-			rep.FaultSpec = faultSet.String()
-			for _, st := range faultSet.Stats() {
-				rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-			}
-		}
-		delta := telemetry.Snapshot().Delta(before)
-		rep.Engine = &delta
+	if rep := ex.Report; rep != nil {
 		if *reportOut == "-" {
 			must(rep.WriteJSON(os.Stderr))
 		} else {
 			must(writeFile(*reportOut, rep.WriteJSON))
 		}
 	}
-
-	if rec != nil {
+	if rec := ex.Recorder; rec != nil {
 		must(writeFile(*traceOut, rec.WriteJSONL))
 		fmt.Fprintf(os.Stderr, "hitl-sim: wrote %d of %d subject traces to %s\n",
 			len(rec.Traces()), rec.Offered(), *traceOut)
 	}
-	if tracer != nil {
-		must(writeFile(*spansOut, tracer.WriteJSON))
+	if ex.Tracer != nil {
+		must(writeFile(*spansOut, ex.Tracer.WriteJSON))
 	}
 }
 

@@ -343,7 +343,7 @@ func foldPath(acc, path string) string {
 
 // runSharded executes one round-free normalized spec across the pool.
 func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
-	parentDigest, err := scenario.Canonical(norm)
+	parentDigest, err := scenario.Digest(norm)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -434,7 +434,7 @@ func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts R
 // and fail over past suspect nodes.
 func (c *Coordinator) runShard(ctx context.Context, parentDigest string, idx int, shardSpecs []scenario.Spec, stats *RunStats, mu *sync.Mutex) (*scenario.Result, string, error) {
 	sp := shardSpecs[idx]
-	digest, err := scenario.Canonical(sp)
+	digest, err := scenario.Digest(sp)
 	if err != nil {
 		return nil, "", err
 	}

@@ -5,7 +5,7 @@
 //
 // A fault Set is parsed from a compact textual spec (the -faults flag on
 // hitl-sim / hitl-experiments, or the Config-gated ?faults= query parameter
-// on POST /v1/experiments/run):
+// on the server's compute doors):
 //
 //	rule[;rule...]        rule := kind[:key=value[,key=value...]]
 //
@@ -30,8 +30,9 @@
 // bit-identical at any worker count, and faults never perturb the random
 // draws of subjects they do not touch.
 //
-// A *Set implements sim.Injector, so attaching it is one line:
-// ctx = sim.WithInjector(ctx, set).
+// A *Set implements sim.Injector; front doors attach it through
+// scenario.Options.Faults, which also reports its fired counts in the run
+// report.
 package faults
 
 import (

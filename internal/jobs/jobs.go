@@ -41,7 +41,6 @@ import (
 	"hitl/internal/faults"
 	"hitl/internal/report"
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 	"hitl/internal/store"
 	"hitl/internal/telemetry"
 )
@@ -317,8 +316,9 @@ type SubmitOptions struct {
 	// VariantID) so faulted results never alias the clean result of the
 	// same spec in the content-addressed store.
 	Faults *faults.Set
-	// SpecDigest is the canonical spec digest for the report. Empty means
-	// the job ID is the digest (the unfaulted common case).
+	// SpecDigest is the canonical spec digest, carried to the run's
+	// profile tag and report. Empty means the job ID is the digest (the
+	// unfaulted common case).
 	SpecDigest string
 	// Degraded marks a job admitted under the server's post-shed degraded
 	// mode; RequestedN is the pre-clamp subject count (norm.N already holds
@@ -343,9 +343,10 @@ func ReportKey(jobID string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Submit registers (or attaches to) the job for a normalized spec. id is
-// the job identity and store key: the spec's canonical digest
-// (scenario.Canonical), or VariantID of it for faulted submissions.
+// Submit registers (or attaches to) the job for a normalized spec; the
+// job runs norm as given, without normalizing it again. id is the job
+// identity and store key: the spec's canonical digest (scenario.Digest),
+// or VariantID of it for faulted submissions.
 // created reports whether this call started new work: false means the
 // submission coalesced onto an existing job or a stored result. A
 // previously failed job is replaced by a fresh attempt (failures are often
@@ -517,22 +518,6 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.Timeout)
 		defer cancel()
 	}
-	var rec *telemetry.Recorder
-	if m.cfg.TraceSample > 0 {
-		rec = telemetry.NewRecorder(m.cfg.TraceSample, norm.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	// Every job collects a RunReport: the engine appends one EngineReport
-	// per run, and the metrics delta attributes engine work to this job
-	// (exact on a process running one job at a time, best-effort under
-	// concurrency — the deterministic fields come from the collector, not
-	// the delta).
-	col := sim.NewReportCollector()
-	ctx = sim.WithReportCollector(ctx, col)
-	if opts.Faults != nil && !opts.Faults.Empty() {
-		ctx = sim.WithInjector(ctx, opts.Faults)
-	}
-	before := telemetry.Snapshot()
 
 	// The observer appends each step's points as they complete; sweep
 	// steps run sequentially, so the streamed point order is the final
@@ -547,13 +532,33 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		}
 		j.mu.Unlock()
 	}
-	res, err := scenario.RunObserved(ctx, norm, obs)
+	ex, err := scenario.Execute(ctx, norm, opts.SpecDigest, scenario.Options{
+		Faults:      opts.Faults,
+		TraceSample: m.cfg.TraceSample,
+		Report:      true,
+		Observe:     obs,
+	})
+	// Every job keeps a report, canonicalized so the persisted bytes are
+	// bit-identical at any worker count (like the result envelope's zeroed
+	// Spec.Workers). Failed jobs still explain themselves: the report, with
+	// per-run errors and flags, stays in memory but is not persisted — a
+	// failed job is replaced by the next submission attempt.
+	rep := *ex.Report
+	rep.JobID = j.ID
+	if opts.Degraded {
+		rep.Degraded = true
+		rep.DegradedClamp = norm.N
+		rep.RequestedN = opts.RequestedN
+	}
+	reportBody, reportMeta := encodeReport(rep.Canonical())
+	trace := ex.Recorder.Traces()
+	var body []byte
+	var meta store.Meta
+	if err == nil {
+		body, meta, err = EncodeResult(j.ID, ex.Result, trace)
+	}
 	if err != nil {
 		m.failed.Add(1)
-		// Failed jobs still explain themselves: the report (with per-run
-		// errors and flags) is attached in memory, just not persisted —
-		// a failed job is replaced by the next submission attempt.
-		reportBody, reportMeta := encodeReport(m.buildReport(j, norm, opts, col, before, "", nil))
 		telemetry.Flight.Record(telemetry.EventJobFailed, j.ID+": "+err.Error())
 		j.mu.Lock()
 		j.state = StateFailed
@@ -564,21 +569,6 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		return
 	}
 
-	var trace []telemetry.SubjectTrace
-	if rec != nil {
-		trace = rec.Traces()
-	}
-	body, meta, err := EncodeResult(j.ID, res, trace)
-	if err != nil {
-		m.failed.Add(1)
-		j.mu.Lock()
-		j.state = StateFailed
-		j.err = err
-		j.append(Event{Type: "error", Error: j.err.Error()})
-		j.mu.Unlock()
-		return
-	}
-	reportBody, reportMeta := encodeReport(m.buildReport(j, norm, opts, col, before, res.EnginePath, res.Rounds))
 	if m.cfg.Store != nil {
 		// Persist before announcing completion, so a client that sees
 		// "complete" can always read the result — even across a restart
@@ -596,6 +586,7 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 		// completes (the result is valid, just not durable).
 	}
 
+	rounds := ex.Result.Rounds
 	m.completed.Add(1)
 	telemetry.Flight.Record(telemetry.EventJobComplete, j.ID)
 	j.mu.Lock()
@@ -603,9 +594,9 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	j.done = total
 	j.body, j.meta = body, meta
 	j.reportBody, j.reportMeta = reportBody, reportMeta
-	evs := make([]Event, 0, len(res.Rounds)+len(trace)+1)
-	for i := range res.Rounds {
-		evs = append(evs, Event{Type: "round", Index: i, Round: &res.Rounds[i]})
+	evs := make([]Event, 0, len(rounds)+len(trace)+1)
+	for i := range rounds {
+		evs = append(evs, Event{Type: "round", Index: i, Round: &rounds[i]})
 	}
 	for i := range trace {
 		evs = append(evs, Event{Type: "trace", Trace: &trace[i]})
@@ -615,37 +606,26 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 	j.mu.Unlock()
 }
 
-// buildReport assembles the job's RunReport from the engine collector and
-// the request-level context, canonicalized so the persisted bytes are
-// bit-identical at any worker count (like the result envelope's zeroed
-// Spec.Workers).
-func (m *Manager) buildReport(j *Job, norm scenario.Spec, opts SubmitOptions, col *sim.ReportCollector, before telemetry.MetricsSnapshot, enginePath string, rounds []scenario.RoundSummary) report.RunReport {
-	rep := report.FromEngine(col.Reports())
-	rep.JobID = j.ID
-	rep.SpecDigest = opts.SpecDigest
-	rep.Rounds = RoundReports(rounds)
-	rep.Scenario = norm.Scenario
-	if enginePath != "" {
-		// The scenario-level path is authoritative: analytic runs execute
-		// zero engine runs, so the collector alone cannot name them.
-		rep.EnginePath = enginePath
+// Adopt persists a result computed outside the manager — a cluster
+// coordinator's merged run — under id, but only when id has neither a
+// tracked job nor a stored entry. The manager is the one writer of result
+// envelopes: whichever door computes a digest first fixes its body and
+// ETag, and a later door never replaces them, live or after a restart.
+// Without a store Adopt does nothing.
+func (m *Manager) Adopt(id string, res *scenario.Result) {
+	if m.cfg.Store == nil {
+		return
 	}
-	rep.Seed = norm.Seed
-	rep.N = norm.N
-	if opts.Degraded {
-		rep.Degraded = true
-		rep.DegradedClamp = norm.N
-		rep.RequestedN = opts.RequestedN
+	// Holding m.mu across the write keeps Submit from starting a job for
+	// id between the check and the put.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.jobs[id]; ok || m.cfg.Store.Has(id) {
+		return
 	}
-	if opts.Faults != nil && !opts.Faults.Empty() {
-		rep.FaultSpec = opts.Faults.String()
-		for _, st := range opts.Faults.Stats() {
-			rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-		}
+	if body, _, err := EncodeResult(id, res, nil); err == nil {
+		_, _ = m.cfg.Store.Put(id, body)
 	}
-	delta := telemetry.Snapshot().Delta(before)
-	rep.Engine = &delta
-	return rep.Canonical()
 }
 
 // encodeReport renders a report to its wire form plus an in-memory meta;
@@ -668,29 +648,8 @@ func bodySHA(body []byte) string {
 // EncodeResult renders a completed scenario result as the persisted
 // result envelope — indented JSON with a trailing newline — plus the
 // store metadata (content SHA, size) addressing those bytes under id.
-// It is the single encoding every result-producing path shares: job runs
-// use it before persisting, and the cluster coordinator uses it to store
-// merged results under the parent spec's digest, so a result computed by
-// a worker pool is served byte-identically to one computed locally.
-// RoundReports converts a result's per-round summaries into the report
-// section form (report deliberately doesn't import scenario).
-func RoundReports(rounds []scenario.RoundSummary) []report.RoundReport {
-	if len(rounds) == 0 {
-		return nil
-	}
-	out := make([]report.RoundReport, len(rounds))
-	for i, r := range rounds {
-		out[i] = report.RoundReport{
-			Round:      r.Round,
-			Seed:       r.Seed,
-			Params:     r.Params,
-			Values:     r.Values,
-			EnginePath: r.EnginePath,
-		}
-	}
-	return out
-}
-
+// It is the single encoding every stored result shares: job runs and
+// adopted cluster results (Adopt) alike.
 func EncodeResult(id string, res *scenario.Result, trace []telemetry.SubjectTrace) ([]byte, store.Meta, error) {
 	env := ResultEnvelope{
 		ID:       id,
@@ -700,7 +659,7 @@ func EncodeResult(id string, res *scenario.Result, trace []telemetry.SubjectTrac
 		Points:   res.Points,
 		Rounds:   res.Rounds,
 		Metrics:  res.Metrics(),
-		Text:     renderText(res),
+		Text:     res.Table().String(),
 		Trace:    trace,
 	}
 	// Workers cannot change results; zeroing it keeps the stored bytes —
@@ -712,16 +671,6 @@ func EncodeResult(id string, res *scenario.Result, trace []telemetry.SubjectTrac
 	}
 	body = append(body, '\n')
 	return body, store.Meta{Key: id, SHA256: bodySHA(body), Size: int64(len(body))}, nil
-}
-
-// renderText renders the result table, matching the synchronous endpoint's
-// "text" field.
-func renderText(res *scenario.Result) string {
-	var b strings.Builder
-	if err := res.Table().WriteText(&b); err != nil {
-		return ""
-	}
-	return b.String()
 }
 
 // Drain stops accepting new submissions. In-flight jobs keep running;

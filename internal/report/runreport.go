@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"hitl/internal/sim"
-	"hitl/internal/telemetry"
 )
 
 // RunReport is the self-contained diagnostic account of one scenario,
@@ -16,13 +15,15 @@ import (
 // to, which fault rules fired, and whether the run was degraded, partial,
 // timed out, or contained a panic. It is assembled from the engine's
 // per-run EngineReports (sim.ReportCollector) and enriched by each layer
-// above: scenario metadata, fault statistics, cache disposition, degraded
-// state, and an engine metrics delta.
+// above: scenario metadata, fault statistics, cache disposition, and
+// degraded state. Every count in it comes from the run's own collector,
+// never from process-wide counters, so concurrent runs cannot leak into
+// each other's reports.
 //
 // Persisted reports are canonicalized first (see Canonical): like the
 // canonical spec digest, the stored bytes zero every scheduling-dependent
-// field (worker counts, wall times, allocator counters) so the same spec
-// produces bit-identical report bytes at any worker count. Inline reports
+// field (worker counts, wall times) so the same spec produces
+// bit-identical report bytes at any worker count. Inline reports
 // (?report=1, -report) keep full fidelity.
 type RunReport struct {
 	// Version numbers the schema so future shard workers and coordinators
@@ -78,10 +79,6 @@ type RunReport struct {
 	// Cache records the serving layer's disposition: "hit", "miss",
 	// "bypass", or empty when no cache was in play.
 	Cache string `json:"cache,omitempty"`
-	// Engine is the engine metrics delta over the run (nil when the caller
-	// didn't snapshot). Scheduling-dependent fields are zeroed in canonical
-	// form.
-	Engine *telemetry.MetricsSnapshot `json:"engine_delta,omitempty"`
 	// Cluster is the coordinator's accounting for distributed runs (nil
 	// for single-node runs). Scheduling-dependent fields are zeroed in
 	// canonical form.
@@ -173,19 +170,12 @@ func FromEngine(runs []sim.EngineReport) RunReport {
 
 // Canonical returns a copy with every scheduling-dependent field zeroed —
 // requested and effective workers (like the canonical spec digest), phase
-// wall times, and the allocator/reservoir counters of the engine delta —
-// so the persisted report bytes are bit-identical at any worker count.
+// wall times, and the cluster's dispatch history — so the persisted
+// report bytes are bit-identical at any worker count.
 func (r RunReport) Canonical() RunReport {
 	r.Workers = 0
 	r.EffectiveWorkers = 0
 	r.Phases = sim.PhaseTimes{}
-	if r.Engine != nil {
-		e := *r.Engine
-		e.Mallocs = 0
-		e.AllocBytes = 0
-		e.TracesKept = 0
-		r.Engine = &e
-	}
 	if r.Cluster != nil {
 		// Which nodes served which shards, and how many tries it took,
 		// is scheduling; the shard count and any gaps in the cover are

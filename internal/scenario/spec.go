@@ -273,6 +273,15 @@ func Canonical(spec Spec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return Digest(norm)
+}
+
+// Digest is Canonical for a spec that is already normalized: it hashes
+// norm as given, without normalizing it again. Normalize is idempotent, so
+// Digest(Normalize(s)) equals Canonical(s); front doors normalize once at
+// decode and carry this digest to Execute. Digest of a spec that was never
+// normalized is not a canonical key.
+func Digest(norm Spec) (string, error) {
 	norm.Workers = 0
 	raw, err := json.Marshal(norm) // map keys marshal sorted
 	if err != nil {
@@ -327,14 +336,26 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 }
 
 // RunObserved is Run with a progress observer: obs (when non-nil) is
-// invoked after each sweep step with the points that step produced, so
-// callers like the async job API can stream results as they complete
-// instead of waiting for the whole sweep. A nil obs makes it exactly Run.
+// invoked after each sweep step with the points that step produced, so a
+// caller can stream results as they complete instead of waiting for the
+// whole sweep. A nil obs makes it exactly Run. Front doors, which have
+// already normalized and digested the spec, use Execute with
+// Options.Observe instead.
 func RunObserved(ctx context.Context, spec Spec, obs Observer) (*Result, error) {
 	norm, err := Normalize(spec)
 	if err != nil {
 		return nil, err
 	}
+	digest, err := Digest(norm)
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, norm, digest, obs)
+}
+
+// run executes a normalized spec whose canonical digest the caller has
+// already computed.
+func run(ctx context.Context, norm Spec, digest string, obs Observer) (*Result, error) {
 	if norm.Rounds > 0 {
 		return runEpisode(ctx, norm, obs)
 	}
@@ -353,9 +374,7 @@ func RunObserved(ctx context.Context, spec Spec, obs Observer) (*Result, error) 
 	// Tag every engine run under this scenario with the canonical spec
 	// digest, so CPU profiles (hitl_tag label) attribute subject-loop
 	// samples to this exact run.
-	if digest, err := Canonical(norm); err == nil {
-		spanCtx = sim.WithRunTag(spanCtx, digest)
-	}
+	spanCtx = sim.WithRunTag(spanCtx, digest)
 	// A shard spec shifts every engine run under it to its global subject
 	// subrange; the context is the only channel that reaches the Runner
 	// wherever a domain package constructs it.

@@ -1,18 +1,14 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"hitl/internal/cluster"
-	"hitl/internal/jobs"
 	"hitl/internal/report"
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 )
 
 // Cluster endpoints. Every server is a shard worker: POST
@@ -33,7 +29,7 @@ import (
 // spec's own canonical digest, so a re-dispatched or re-run shard is
 // answered from memory.
 func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
-	norm, ok := s.decodeScenarioSpec(w, r)
+	norm, digest, ok := s.decodeScenarioSpec(w, r)
 	if !ok {
 		return
 	}
@@ -51,11 +47,6 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	digest, err := scenario.Canonical(norm)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
 
 	cacheKey := ""
 	if faultSet == nil {
@@ -65,25 +56,12 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if faultSet != nil {
-		ctx = sim.WithInjector(ctx, faultSet)
-	}
-	res, err := scenario.Run(ctx, norm)
+	ex, err := scenario.Execute(r.Context(), norm, digest, scenario.Options{Faults: faultSet})
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(ctx):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
+		s.writeRunErr(w, r, err, http.StatusInternalServerError)
 		return
 	}
+	res := ex.Result
 	w.Header().Set("X-Engine", res.EnginePath)
 	resp := cluster.ResponseFromResult(res, digest, faultSet != nil)
 	if cacheKey != "" {
@@ -99,16 +77,17 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 // (default one per worker) and ?partial=1 lets the run complete with
 // missing-shard accounting when retries exhaust. The response is the
 // scenario response plus a "cluster" section with dispatch/retry/failover
-// accounting, and the merged result is persisted into the job store under
+// accounting. A complete merged result is handed to the job manager under
 // the spec's canonical digest, so GET /v1/jobs/{digest}/result serves it
-// like any locally-computed result.
+// like any locally-computed result — unless a job already owns that
+// digest, whose body and ETag then stand.
 func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
 		writeErr(w, http.StatusServiceUnavailable,
 			errors.New("no worker pool configured (start with -workers or -workers-file)"))
 		return
 	}
-	norm, ok := s.decodeScenarioSpec(w, r)
+	norm, digest, ok := s.decodeScenarioSpec(w, r)
 	if !ok {
 		return
 	}
@@ -125,65 +104,25 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 
 	res, stats, err := s.coord.Run(r.Context(), norm, opts)
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(r.Context()):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusBadGateway, err)
-		}
+		s.writeRunErr(w, r, err, http.StatusBadGateway)
 		return
 	}
-
-	var text strings.Builder
-	if err := res.Table().WriteText(&text); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("X-Engine", res.EnginePath)
+	resp := scenarioResponse(w, res)
+	resp["cluster"] = stats
 	if stats.Partial {
 		w.Header().Set("X-Cluster-Partial", "1")
-	}
-	// Persist complete merged results under the parent digest, exactly as
-	// a local job run would have: the async API then serves
-	// cluster-computed results (GET /v1/jobs/{digest}/result) and future
-	// job submissions of the same spec coalesce onto the stored bytes.
-	// Partial results are never persisted — the store is for full-
-	// fidelity results only.
-	if s.store != nil && !stats.Partial {
-		if digest, derr := scenario.Canonical(norm); derr == nil {
-			if body, _, eerr := jobs.EncodeResult(digest, res, nil); eerr == nil {
-				_, _ = s.store.Put(digest, body)
-			}
-		}
-	}
-	resp := map[string]any{
-		"scenario": res.Scenario,
-		"spec":     res.Spec,
-		"engine":   res.EnginePath,
-		"points":   res.Points,
-		"metrics":  res.Metrics(),
-		"text":     text.String(),
-		"cluster":  stats,
-	}
-	if len(res.Rounds) > 0 {
-		resp["rounds"] = res.Rounds
+	} else {
+		// Partial results are never persisted — the store is for
+		// full-fidelity results only.
+		s.jobs.Adopt(digest, res)
 	}
 	// ?report=1 attaches a RunReport with the cluster section filled in.
 	// The engine phases ran on remote workers, so only the coordinator's
 	// view is populated.
 	if r.URL.Query().Get("report") == "1" {
 		rep := report.RunReport{
-			Version:    report.ReportVersion,
-			Scenario:   res.Scenario,
-			EnginePath: res.EnginePath,
-			Seed:       norm.Seed,
-			N:          norm.N,
-			Partial:    stats.Partial,
+			Version: report.ReportVersion,
+			Partial: stats.Partial,
 			Cluster: &report.ClusterReport{
 				Shards:     stats.Shards,
 				Dispatched: stats.Dispatched,
@@ -194,10 +133,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 				Missing:    stats.Missing,
 			},
 		}
-		rep.Rounds = jobs.RoundReports(res.Rounds)
-		if digest, derr := scenario.Canonical(norm); derr == nil {
-			rep.SpecDigest = digest
-		}
+		scenario.Describe(&rep, norm, digest, res)
 		resp["report"] = rep
 	}
 	writeJSON(w, http.StatusOK, resp)

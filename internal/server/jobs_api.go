@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"hitl/internal/jobs"
-	"hitl/internal/scenario"
 )
 
 // The async job API. A POST /v1/jobs body is a scenario.Spec — validated
@@ -48,7 +47,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	norm, ok := s.decodeScenarioSpec(w, r)
+	norm, digest, ok := s.decodeScenarioSpec(w, r)
 	if !ok {
 		return
 	}
@@ -56,23 +55,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Degraded mode clamps n before canonicalization, so a degraded
-	// submission gets its own digest (and its own stored result) rather
-	// than masquerading as the full-fidelity run of the original spec.
-	requestedN := norm.N
-	degraded := s.overload.degraded()
-	if degraded {
-		if norm.N > s.cfg.DegradedMaxSubjects {
-			norm.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
-	}
-	digest, err := scenario.Canonical(norm)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
+	requestedN, degraded := s.degradeSpec(w, &norm, &digest)
 	id := digest
 	if faultSet != nil {
 		id = jobs.VariantID(digest, faultSet.String())
@@ -174,9 +157,9 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobReport serves the job's persisted canonical run report: the
-// structured diagnostic artifact (phase times, per-stage failure
-// attribution, fired fault rules, degraded clamp, engine metric deltas)
-// assembled when the run finished. Reports are canonicalized — worker
+// structured diagnostic artifact (engine runs and subjects, per-stage
+// failure attribution, fired fault rules, degraded clamp) assembled from
+// the job's own collector when the run finished. Reports are canonicalized — worker
 // counts and wall times zeroed — so the body and its ETag are
 // byte-identical at any engine parallelism and across restarts.
 func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {

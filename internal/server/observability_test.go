@@ -182,8 +182,8 @@ func TestScenarioRunInlineReport(t *testing.T) {
 	if rep.Phases.ComputeSeconds <= 0 {
 		t.Errorf("compute phase = %g, want > 0", rep.Phases.ComputeSeconds)
 	}
-	if rep.Engine == nil || rep.Engine.Runs < 1 {
-		t.Errorf("engine delta = %+v", rep.Engine)
+	if rep.EngineRuns != 1 || rep.EnginePath == "" {
+		t.Errorf("report = %d engine runs on path %q, want this run's one", rep.EngineRuns, rep.EnginePath)
 	}
 
 	// A plain repeat of the same spec is a cache miss then hit — ?report=1

@@ -1,19 +1,12 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
-	"hitl/internal/jobs"
-	"hitl/internal/report"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all" // register the built-in scenarios
-	"hitl/internal/sim"
-	"hitl/internal/telemetry"
 )
 
 // maxSweepValues caps the sweep axis length on /v1/scenarios/run: a sweep
@@ -55,42 +48,82 @@ func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeScenarioSpec reads, normalizes, and bounds-checks a scenario spec
-// request body. It is the single validation path shared by the synchronous
-// endpoint (POST /v1/scenarios/run) and the async one (POST /v1/jobs), so
-// a spec the job API accepts is exactly a spec the run API accepts. The
-// returned spec always has Workers zeroed: the server owns its
-// parallelism, and a client-picked worker count could not change results
-// anyway. ok=false means a response has already been written.
-func (s *Server) decodeScenarioSpec(w http.ResponseWriter, r *http.Request) (scenario.Spec, bool) {
+// request body, and digests the normalized spec. It is the single
+// validation path shared by every scenario door — the synchronous run, the
+// async job, and the cluster run and shard endpoints — so a spec one door
+// accepts is exactly a spec the others accept, and each request normalizes
+// and digests its spec once. The returned spec always has Workers zeroed:
+// the server owns its parallelism, and a client-picked worker count could
+// not change results anyway. ok=false means a response has already been
+// written.
+func (s *Server) decodeScenarioSpec(w http.ResponseWriter, r *http.Request) (norm scenario.Spec, digest string, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	spec, err := scenario.ParseSpec(body)
 	if err != nil {
 		writeErr(w, decodeStatus(err), err)
-		return scenario.Spec{}, false
+		return scenario.Spec{}, "", false
 	}
-	norm, err := scenario.Normalize(spec)
+	norm, err = scenario.Normalize(spec)
 	if err != nil {
 		if !writeSpecErr(w, err) {
 			writeErr(w, http.StatusBadRequest, err)
 		}
-		return scenario.Spec{}, false
+		return scenario.Spec{}, "", false
 	}
 	if norm.N > s.cfg.MaxSubjects {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": fmt.Sprintf("n=%d above the server cap %d", norm.N, s.cfg.MaxSubjects),
 			"field": "n",
 		})
-		return scenario.Spec{}, false
+		return scenario.Spec{}, "", false
 	}
 	if norm.Sweep != nil && len(norm.Sweep.Values) > maxSweepValues {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": fmt.Sprintf("sweep of %d values above the server cap %d", len(norm.Sweep.Values), maxSweepValues),
 			"field": "sweep.values",
 		})
-		return scenario.Spec{}, false
+		return scenario.Spec{}, "", false
 	}
 	norm.Workers = 0
-	return norm, true
+	if digest, err = scenario.Digest(norm); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return scenario.Spec{}, "", false
+	}
+	return norm, digest, true
+}
+
+// degradeSpec applies degraded mode (clampDegraded) to a decoded spec. A
+// clamped spec is a different run, so it is re-digested: a degraded run
+// gets its own identity rather than masquerading as the full-fidelity run
+// of the original spec. It returns the pre-clamp subject count.
+func (s *Server) degradeSpec(w http.ResponseWriter, norm *scenario.Spec, digest *string) (requestedN int, degraded bool) {
+	requestedN = norm.N
+	if norm.N, degraded = s.clampDegraded(w, norm.N); norm.N != requestedN {
+		*digest, _ = scenario.Digest(*norm) // cannot fail: norm stays normalized
+	}
+	return requestedN, degraded
+}
+
+// scenarioResponse is the body the scenario doors answer with. spec echoes
+// the normalized spec the run actually executed — n in particular may
+// have been clamped by degraded mode. X-Engine reports which engine path
+// answered (interpreted, compiled, or analytic) — diagnostic only:
+// interpreted and compiled bodies are bit-identical, and analytic specs
+// always resolve analytic.
+func scenarioResponse(w http.ResponseWriter, res *scenario.Result) map[string]any {
+	w.Header().Set("X-Engine", res.EnginePath)
+	resp := map[string]any{
+		"scenario": res.Scenario,
+		"spec":     res.Spec,
+		"engine":   res.EnginePath,
+		"points":   res.Points,
+		"metrics":  res.Metrics(),
+		"text":     res.Table().String(),
+	}
+	if len(res.Rounds) > 0 {
+		resp["rounds"] = res.Rounds
+	}
+	return resp
 }
 
 // handleScenarioRun executes a declarative scenario spec. The body is a
@@ -102,143 +135,53 @@ func (s *Server) decodeScenarioSpec(w http.ResponseWriter, r *http.Request) (sce
 // (?trace_sample / ?spans=1), injected faults (?faults=, gated by
 // Config.AllowFaults), and degraded mode all skip the cache.
 func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	norm, ok := s.decodeScenarioSpec(w, r)
+	norm, digest, ok := s.decodeScenarioSpec(w, r)
 	if !ok {
 		return
 	}
-
-	// ?faults=<spec> perturbs the run deterministically — a chaos drill,
-	// gated behind Config.AllowFaults exactly like /v1/experiments/run.
-	faultSet, ok := s.faultsFromQuery(w, r)
+	opts, ok := s.runOptions(w, r)
 	if !ok {
 		return
-	}
-	// Under sustained overload the server trades fidelity for liveness.
-	degraded := s.overload.degraded()
-	if degraded {
-		if norm.N > s.cfg.DegradedMaxSubjects {
-			norm.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
-	}
-	traceSample := 0
-	if q := r.URL.Query().Get("trace_sample"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
-			return
-		}
-		traceSample = v
-		if traceSample > s.cfg.MaxTraceSample {
-			traceSample = s.cfg.MaxTraceSample
-		}
 	}
 	wantSpans := r.URL.Query().Get("spans") == "1"
 	// ?report=1 attaches a full-fidelity run report (real worker counts and
 	// phase wall times, unlike the canonicalized job reports). Reports are
 	// per-execution observations, so they bypass the cache like traces do.
-	wantReport := r.URL.Query().Get("report") == "1"
+	opts.Report = r.URL.Query().Get("report") == "1"
+	// Under sustained overload the server trades fidelity for liveness.
+	requestedN, degraded := s.degradeSpec(w, &norm, &digest)
 
 	cacheKey := ""
-	if traceSample == 0 && !wantSpans && faultSet == nil && !degraded && !wantReport {
-		if digest, err := scenario.Canonical(norm); err == nil {
-			cacheKey = "scenarios/run|" + digest
-			if s.serveCached(w, cacheKey) {
-				return
-			}
+	if opts.TraceSample == 0 && !wantSpans && opts.Faults == nil && !degraded && !opts.Report {
+		cacheKey = "scenarios/run|" + digest
+		if s.serveCached(w, cacheKey) {
+			return
 		}
 	}
 
-	ctx := r.Context()
-	if faultSet != nil {
-		ctx = sim.WithInjector(ctx, faultSet)
-	}
-	var rec *telemetry.Recorder
-	if traceSample > 0 {
-		rec = telemetry.NewRecorder(traceSample, norm.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	tracer := telemetry.NewTracer(nil)
-	ctx = telemetry.WithTracer(ctx, tracer)
-	var col *sim.ReportCollector
-	var before telemetry.MetricsSnapshot
-	if wantReport {
-		col = sim.NewReportCollector()
-		ctx = sim.WithReportCollector(ctx, col)
-		before = telemetry.Snapshot()
-	}
-
-	res, err := scenario.Run(ctx, norm)
+	ex, err := scenario.Execute(r.Context(), norm, digest, opts)
 	if err != nil {
-		switch {
-		case writeSpecErr(w, err):
-		case computeDeadlineExpired(ctx):
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
-		}
+		s.writeRunErr(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	var text strings.Builder
-	if err := res.Table().WriteText(&text); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	// X-Engine reports which engine path answered (interpreted, compiled,
-	// or analytic) — diagnostic only: interpreted and compiled bodies are
-	// bit-identical, and analytic specs always resolve analytic.
-	w.Header().Set("X-Engine", res.EnginePath)
-	// spec echoes the normalized spec the run actually executed — n in
-	// particular may have been clamped by degraded mode.
-	resp := map[string]any{
-		"scenario": res.Scenario,
-		"spec":     res.Spec,
-		"engine":   res.EnginePath,
-		"points":   res.Points,
-		"metrics":  res.Metrics(),
-		"text":     text.String(),
-	}
-	if len(res.Rounds) > 0 {
-		resp["rounds"] = res.Rounds
-	}
-	if rec != nil {
-		resp["trace"] = rec.Traces()
+	resp := scenarioResponse(w, ex.Result)
+	if ex.Recorder != nil {
+		resp["trace"] = ex.Recorder.Traces()
 	}
 	if wantSpans {
-		resp["spans"] = tracer.Spans()
+		resp["spans"] = ex.Tracer.Spans()
 	}
-	if wantReport {
-		rep := report.FromEngine(col.Reports())
-		rep.Scenario = res.Scenario
-		rep.EnginePath = res.EnginePath
-		rep.Seed = norm.Seed
-		rep.N = norm.N
-		if digest, derr := scenario.Canonical(norm); derr == nil {
-			rep.SpecDigest = digest
-		}
+	if rep := ex.Report; rep != nil {
 		if degraded {
 			rep.Degraded = true
 			rep.DegradedClamp = norm.N
-		}
-		if faultSet != nil {
-			rep.FaultSpec = faultSet.String()
-			for _, st := range faultSet.Stats() {
-				rep.FaultRules = append(rep.FaultRules, report.FaultRule{Rule: st.Rule, Fired: st.Fired})
-			}
+			rep.RequestedN = requestedN
 		}
 		rep.Cache = "bypass"
-		rep.Rounds = jobs.RoundReports(res.Rounds)
-		delta := telemetry.Snapshot().Delta(before)
-		rep.Engine = &delta
 		resp["report"] = rep
 	}
 	if cacheKey != "" {
-		s.writeCacheableJSON(w, cacheKey, res.EnginePath, resp)
+		s.writeCacheableJSON(w, cacheKey, ex.Result.EnginePath, resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

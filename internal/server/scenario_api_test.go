@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hitl/internal/report"
 	"hitl/internal/scenario"
 )
 
@@ -274,6 +275,18 @@ func TestScenarioRunDegraded(t *testing.T) {
 	decodeBody(t, resp, &body)
 	if body.Spec.N != 40 {
 		t.Errorf("degraded n = %d, want clamp to 40", body.Spec.N)
+	}
+
+	// ?report=1 under degraded mode records both the requested and the
+	// clamped subject count, like the job door's report.
+	rresp := postJSON(t, ts.URL+"/v1/scenarios/run?report=1",
+		map[string]any{"scenario": "password", "seed": 2, "n": 5000})
+	var rbody struct {
+		Report *report.RunReport `json:"report"`
+	}
+	decodeBody(t, rresp, &rbody)
+	if rep := rbody.Report; rep == nil || !rep.Degraded || rep.RequestedN != 5000 || rep.DegradedClamp != 40 {
+		t.Errorf("degraded report = %+v, want requested_n 5000 and degraded_clamp 40", rep)
 	}
 
 	srv.overload.lastShedNano.Store(0) // leave degraded mode

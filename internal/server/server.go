@@ -11,6 +11,7 @@
 //	GET  /v1/patterns         the §5 design-pattern catalog (metadata)
 //	GET  /v1/experiments      the experiment registry
 //	GET  /v1/scenarios        the scenario registry with parameter schemas
+//	GET  /v1/populations      the population presets with trait dimensions
 //	POST /v1/analyze          SystemSpec -> findings + reliability
 //	POST /v1/process          SystemSpec -> Figure 2 process result
 //	POST /v1/recommend        SystemSpec -> gain-ranked pattern advice
@@ -21,7 +22,7 @@
 //	     validation failures are 400 with the offending field's JSON path,
 //	     ?trace_sample / ?spans / ?faults work as on /v1/experiments/run,
 //	     and ?report=1 inlines a RunReport (phase wall times, stage
-//	     attribution, fault stats, engine metrics delta)
+//	     attribution, fault stats — all from this run's own engine runs)
 //	POST /v1/jobs             scenario spec -> async job keyed by the spec's
 //	     canonical digest; identical concurrent submissions coalesce onto
 //	     one computation (singleflight); ?faults= (gated) runs a fault
@@ -34,6 +35,18 @@
 //	GET  /v1/jobs/{id}/stream  chunked JSONL of points and sampled traces
 //	GET  /v1/debug/events      the in-process flight recorder ring (JSON),
 //	     filterable with ?kind=a,b and pageable with ?since=<seq>
+//	POST /v1/cluster/shard     one shard spec -> raw aggregates for a
+//	     coordinator to merge; every server is a shard worker
+//	POST /v1/cluster/run       scenario spec -> a run sharded across the
+//	     worker pool (Config.Cluster), bit-identical to a local run;
+//	     ?shards=K, ?partial=1, ?report=1; complete results are adopted
+//	     by the job store unless a job already owns the digest
+//	GET  /v1/cluster/nodes     the coordinator's health view of its pool
+//
+// Every scenario door — sync run, job, cluster run and shard — decodes and
+// normalizes its spec once and digests it once (decodeScenarioSpec), then
+// runs it through the one execution seam, scenario.Execute, which wires
+// faults, trace sampling, spans and the run report into the run.
 //
 // Experiment and process runs are deterministic in their inputs, so their
 // 200 responses are kept in a bounded LRU result cache (Config.CacheSize;
@@ -62,10 +75,12 @@
 // counters; /v1/healthz reports 503 draining after SetDraining so load
 // balancers stop routing before graceful shutdown's drain deadline.
 //
-// When Config.AllowFaults is set, /v1/experiments/run accepts a
-// ?faults=<spec> parameter (internal/faults grammar) that perturbs the run
-// deterministically — for chaos drills against a real server. Faulted
-// responses carry X-Faults and also bypass the cache.
+// When Config.AllowFaults is set, every compute door that runs Monte Carlo
+// work — /v1/experiments/run, /v1/scenarios/run, /v1/jobs and
+// /v1/cluster/shard — accepts a ?faults=<spec> parameter (internal/faults
+// grammar) that perturbs the run deterministically, for chaos drills
+// against a real server. Faulted responses carry X-Faults and bypass the
+// cache; faulted jobs run under their own variant ID.
 package server
 
 import (
@@ -88,7 +103,7 @@ import (
 	"hitl/internal/faults"
 	"hitl/internal/jobs"
 	"hitl/internal/patterns"
-	"hitl/internal/sim"
+	"hitl/internal/scenario"
 	"hitl/internal/store"
 	"hitl/internal/telemetry"
 )
@@ -434,6 +449,66 @@ func (s *Server) faultsFromQuery(w http.ResponseWriter, r *http.Request) (*fault
 	return set, true
 }
 
+// runOptions decodes the run attachments the synchronous compute doors
+// (/v1/scenarios/run, /v1/experiments/run) take from the query: ?faults=
+// (see faultsFromQuery) and ?trace_sample=K, K >= 1, capped at
+// MaxTraceSample. Spans are always recorded — they feed
+// hitl_span_duration_seconds — whether or not ?spans=1 inlines them.
+// ok=false means a response has already been written.
+func (s *Server) runOptions(w http.ResponseWriter, r *http.Request) (scenario.Options, bool) {
+	set, ok := s.faultsFromQuery(w, r)
+	if !ok {
+		return scenario.Options{}, false
+	}
+	opts := scenario.Options{Faults: set, Spans: true}
+	if q := r.URL.Query().Get("trace_sample"); q != "" {
+		v, err := strconv.Atoi(q)
+		if err != nil || v < 1 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
+			return scenario.Options{}, false
+		}
+		opts.TraceSample = min(v, s.cfg.MaxTraceSample)
+	}
+	return opts, true
+}
+
+// clampDegraded applies degraded mode to a requested subject count: while
+// the server is degraded, n is clamped to DegradedMaxSubjects (n=0, a
+// default that is often the largest run, is clamped too), the response
+// carries X-Degraded, and the degraded-run counter ticks. Degraded runs
+// must never enter the result cache: a clamped run must not be replayed as
+// the real answer once the server recovers.
+func (s *Server) clampDegraded(w http.ResponseWriter, n int) (int, bool) {
+	if !s.overload.degraded() {
+		return n, false
+	}
+	if n == 0 || n > s.cfg.DegradedMaxSubjects {
+		n = s.cfg.DegradedMaxSubjects
+	}
+	w.Header().Set("X-Degraded", "subjects-clamped")
+	s.overload.degradedRuns.Add(1)
+	return n, true
+}
+
+// writeRunErr maps a failed run to its status: a spec error is 400 with
+// the field's JSON path, the server's own compute deadline 503 (a capacity
+// signal), a client that went away 499, and anything else the door's own
+// failure status — 500 for a local run, 502 when a cluster's workers
+// failed it, 404 for an unknown experiment.
+func (s *Server) writeRunErr(w http.ResponseWriter, r *http.Request, err error, status int) {
+	switch {
+	case writeSpecErr(w, err):
+	case computeDeadlineExpired(r.Context()):
+		s.overload.deadlineExpired.Add(1)
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		writeErr(w, statusClientClosedRequest, err)
+	default:
+		writeErr(w, status, err)
+	}
+}
+
 // decodeStatus maps a request-body decode error to its HTTP status: an
 // http.MaxBytesError means the body blew past MaxBodyBytes (413, the
 // client must shrink the request), anything else is a malformed body
@@ -728,46 +803,25 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		req.Seed = 20080124
 	}
 	// ?faults=<spec> (internal/faults grammar) perturbs the run
-	// deterministically — a chaos drill, gated behind Config.AllowFaults.
-	faultSet, ok := s.faultsFromQuery(w, r)
+	// deterministically — a chaos drill, gated behind Config.AllowFaults;
+	// ?trace_sample=K samples up to K per-subject stage traces into the
+	// response; ?spans=1 returns the request's span tree.
+	opts, ok := s.runOptions(w, r)
 	if !ok {
 		return
 	}
-	// Under sustained overload the server trades fidelity for liveness:
-	// subject counts are clamped until the degraded window clears. n=0
-	// (experiment default, often the largest run) is clamped too.
-	degraded := s.overload.degraded()
-	if degraded {
-		if req.N == 0 || req.N > s.cfg.DegradedMaxSubjects {
-			req.N = s.cfg.DegradedMaxSubjects
-		}
-		w.Header().Set("X-Degraded", "subjects-clamped")
-		s.overload.degradedRuns.Add(1)
-	}
-	// ?trace_sample=K samples up to K per-subject stage traces into the
-	// response (capped by MaxTraceSample); ?spans=1 returns the request's
-	// span tree. Span durations always feed /v1/metrics.
-	traceSample := 0
-	if q := r.URL.Query().Get("trace_sample"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 1 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid trace_sample %q", q))
-			return
-		}
-		traceSample = v
-		if traceSample > s.cfg.MaxTraceSample {
-			traceSample = s.cfg.MaxTraceSample
-		}
-	}
 	wantSpans := r.URL.Query().Get("spans") == "1"
+	// Under sustained overload the server trades fidelity for liveness:
+	// subject counts are clamped until the degraded window clears.
+	var degraded bool
+	req.N, degraded = s.clampDegraded(w, req.N)
 
 	// Runs are deterministic in (id, seed, n), so identical requests can be
 	// answered from the result cache — but only full-fidelity ones: no
 	// per-request telemetry (?trace_sample / ?spans, always produced
-	// fresh), no injected faults, and not while degraded (a clamped run
-	// must not be replayed as the real answer once the server recovers).
+	// fresh), no injected faults, and not while degraded.
 	cacheKey := ""
-	if traceSample == 0 && !wantSpans && faultSet == nil && !degraded {
+	if opts.TraceSample == 0 && !wantSpans && opts.Faults == nil && !degraded {
 		cacheKey = experimentCacheKey(req.ID, req.Seed, req.N)
 		if s.serveCached(w, cacheKey) {
 			return
@@ -776,33 +830,14 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 
 	// The request context cancels the Monte Carlo workers when the client
 	// disconnects or the server drains, so abandoned runs stop burning CPU.
-	ctx := r.Context()
-	if faultSet != nil {
-		ctx = sim.WithInjector(ctx, faultSet)
-	}
-	var rec *telemetry.Recorder
-	if traceSample > 0 {
-		rec = telemetry.NewRecorder(traceSample, req.Seed)
-		ctx = telemetry.WithRecorder(ctx, rec)
-	}
-	tracer := telemetry.NewTracer(nil)
-	ctx = telemetry.WithTracer(ctx, tracer)
+	ctx, ex := scenario.Attach(r.Context(), req.Seed, opts)
 	out, err := experiments.Run(ctx, req.ID, experiments.Config{Seed: req.Seed, N: req.N})
 	if err != nil {
-		switch {
-		case errors.Is(err, experiments.ErrUnknown):
-			writeErr(w, http.StatusNotFound, err)
-		case computeDeadlineExpired(ctx):
-			// The server's own compute deadline expired — a capacity
-			// signal (503), not a client disconnect (499).
-			s.overload.deadlineExpired.Add(1)
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, statusClientClosedRequest, err)
-		default:
-			writeErr(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, experiments.ErrUnknown) {
+			status = http.StatusNotFound
 		}
+		s.writeRunErr(w, r, err, status)
 		return
 	}
 	var text strings.Builder
@@ -823,11 +858,11 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		"notes":      out.Notes,
 		"text":       text.String(),
 	}
-	if rec != nil {
-		resp["trace"] = rec.Traces()
+	if ex.Recorder != nil {
+		resp["trace"] = ex.Recorder.Traces()
 	}
 	if wantSpans {
-		resp["spans"] = tracer.Spans()
+		resp["spans"] = ex.Tracer.Spans()
 	}
 	if cacheKey != "" {
 		s.writeCacheableJSON(w, cacheKey, "", resp)

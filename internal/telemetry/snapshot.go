@@ -1,17 +1,17 @@
 package telemetry
 
 // MetricsSnapshot is a point-in-time copy of the engine counters plus the
-// allocator counters that matter for run cost. Take one before and one
-// after a run and Delta them to attribute engine work to that run — this
-// is how RunReports carry "what the engine did" without a per-run metrics
-// registry.
+// allocator counters that matter for run cost. The difference of two
+// snapshots (Delta) is the work the whole process did in between — every
+// concurrent run's, not one run's — so run reports do not read it; they
+// take their counts from the run's own sim.ReportCollector.
 //
 // Determinism: Subjects, Runs, StageFailures, and PanicsRecovered are
-// exact functions of the run's (seed, spec) and therefore identical at any
-// worker count on an otherwise-quiet process. TracesKept, Mallocs, and
-// AllocBytes are scheduling-dependent (reservoir admission order and
-// allocator behavior vary with interleaving); report canonicalization
-// zeroes them before persisting.
+// exact functions of the work done, identical at any worker count, but a
+// delta attributes them to one run only on an otherwise-quiet process.
+// TracesKept, Mallocs, and AllocBytes are scheduling-dependent
+// (reservoir admission order and allocator behavior vary with
+// interleaving).
 type MetricsSnapshot struct {
 	// Subjects and Runs are the engine's lifetime completed-subject and
 	// completed-run counters.
