@@ -84,8 +84,10 @@ scenarios-smoke:
 # engine-golden runs every example spec through hitl-sim twice — forced
 # interpreted and forced compiled — and fails unless the rendered outputs
 # are byte-identical (the compiled engine's external bit-identity
-# contract). ENGINE_GOLDEN_DIR parks the comparison files for CI to
-# archive.
+# contract); it then samples 8 traces per spec forced interpreted and
+# under auto, and fails unless the trace files are byte-identical and auto
+# stayed off the interpreter. ENGINE_GOLDEN_DIR parks the comparison
+# files for CI to archive.
 engine-golden:
 	bash scripts/engine_golden.sh
 

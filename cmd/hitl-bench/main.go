@@ -11,7 +11,8 @@
 // It times sim.Runner.Run at 1, 4, and GOMAXPROCS workers, each with
 // subject-trace sampling off and on, plus the compiled engine path
 // (sim.Runner.RunProgram over the same pipeline lowered to a Program,
-// trace-off only — compiled subjects never materialize traces), keeping
+// trace-off only — RunProgram offers nothing to a recorder; the scenario
+// layer samples compiled runs by replaying a few subjects), keeping
 // the best of -runs repetitions per configuration and recording allocs/op,
 // bytes/op (one op = one full N-subject run), and allocs/subject from
 // runtime.MemStats deltas. Each configuration records
@@ -174,8 +175,8 @@ func program() (*sim.Program, error) {
 
 // bench runs one configuration repeats times and returns the best wall time
 // plus that run's allocation deltas. A nil prog times the interpreted agent
-// walk; otherwise the compiled Program runs (trace must be off: compiled
-// subjects never materialize traces).
+// walk; otherwise the compiled Program runs (trace must be off: RunProgram
+// offers nothing to a recorder).
 func bench(seed int64, n, workers, repeats int, trace bool, prog *sim.Program) (best time.Duration, allocs, bytesAlloc uint64, err error) {
 	var ms runtime.MemStats
 	for i := 0; i < repeats; i++ {
@@ -426,7 +427,7 @@ func main() {
 		fatal(err)
 	}
 	// Each worker count measures interpreted trace-off/on plus the compiled
-	// path (trace-off only: compiled subjects never materialize traces).
+	// path (trace-off only: RunProgram offers nothing to a recorder).
 	configs := []struct {
 		engine string
 		trace  bool

@@ -91,13 +91,20 @@ type Config struct {
 	Seed int64
 	// N is the per-arm subject count; 0 uses each experiment's default.
 	N int
+	// MaxN, when positive, caps every per-arm subject count, N and each
+	// experiment's own default alike, so a cap never raises a count.
+	MaxN int
 }
 
 func (c Config) n(def int) int {
+	n := def
 	if c.N > 0 {
-		return c.N
+		n = c.N
 	}
-	return def
+	if c.MaxN > 0 && n > c.MaxN {
+		n = c.MaxN
+	}
+	return n
 }
 
 // ErrUnknown reports a request for an experiment ID that is not in the

@@ -205,15 +205,20 @@ func (s Scenario) Run(ctx context.Context) (Metrics, error) {
 	if err := s.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	enc := s.policyEncounter()
-	// Pooled receivers keep the per-subject hot path allocation-free; the
-	// scenario synthesizes its own Outcome, so no traces are collected.
-	pool := &sync.Pool{New: func() any { return &interpretedReader{enc: enc} }}
-	res, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}.Run(ctx, s.subject(pool))
+	res, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}.Run(ctx, s.interpreted())
 	if err != nil {
 		return Metrics{}, err
 	}
 	return MetricsFrom(res), nil
+}
+
+// interpreted is the scenario's subject loop over agent.Receivers, shared
+// by Run and the program Compile returns, which replays sampled subjects
+// on it. Pooled receivers keep the per-subject hot path allocation-free;
+// the scenario synthesizes its own Outcome, so no traces are collected.
+func (s *Scenario) interpreted() sim.SubjectFunc {
+	enc := s.policyEncounter()
+	return s.subject(&sync.Pool{New: func() any { return &interpretedReader{enc: enc} }})
 }
 
 // Compile lowers the scenario into a loop program: the subject loop Run
@@ -231,7 +236,12 @@ func (s Scenario) Compile() (*sim.Program, error) {
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return &loweredReader{sp: sp} }}
-	return sim.NewLoopProgram(s.Population, s.subject(pool))
+	prog, err := sim.NewLoopProgram(s.Population, s.subject(pool))
+	if err != nil {
+		return nil, err
+	}
+	prog.Interpreted = s.interpreted()
+	return prog, nil
 }
 
 // policyEncounter is the policy as a communication. Users see password

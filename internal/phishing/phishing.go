@@ -107,8 +107,20 @@ func (s Study) Run(ctx context.Context) (StudyResult, error) {
 	}
 	runner := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}
 	// Traces are only materialized when a recorder will sample them.
-	pool := receiverPool(telemetry.RecorderFromContext(ctx) != nil)
-	res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
+	res, err := runner.Run(ctx, s.subject(telemetry.RecorderFromContext(ctx) != nil))
+	if err != nil {
+		return StudyResult{}, err
+	}
+	return StudyResult{Condition: s.Condition.Name, Run: res}, nil
+}
+
+// subject is the study's interpreted subject, shared by Run and the
+// program Compile returns, which replays sampled subjects on it: a fresh
+// profile on a pooled receiver, optional pre-training, and the one
+// warning encounter. collect turns on stage-trace capture.
+func (s *Study) subject(collect bool) sim.SubjectFunc {
+	pool := receiverPool(collect)
+	return func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		prof := s.Population.Sample(rng)
 		r := pool.Get().(*agent.Receiver)
 		defer pool.Put(r)
@@ -130,11 +142,7 @@ func (s Study) Run(ctx context.Context) (StudyResult, error) {
 			return sim.Outcome{}, err
 		}
 		return sim.FromAgentResult(ar), nil
-	})
-	if err != nil {
-		return StudyResult{}, err
 	}
-	return StudyResult{Condition: s.Condition.Name, Run: res}, nil
 }
 
 // Compile lowers the study into a sim.Program: the same population,
@@ -155,9 +163,14 @@ func (s Study) Compile() (*sim.Program, error) {
 		HazardPresent: true,
 		Task:          gems.LeaveSuspiciousSite(),
 	}
-	return sim.NewProgram(s.Population, nil, enc, s.Condition.PreTrained, agent.Skill{
+	prog, err := sim.NewProgram(s.Population, nil, enc, s.Condition.PreTrained, agent.Skill{
 		Level: 0.85, Interactivity: 0.85, AcquiredDay: 0,
 	})
+	if err != nil {
+		return nil, err
+	}
+	prog.Interpreted = s.subject(true)
+	return prog, nil
 }
 
 // CompareConditions runs the same study over multiple conditions with
@@ -324,15 +337,20 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 	if err := c.Validate(); err != nil {
 		return CampaignMetrics{}, err
 	}
-	// The campaign synthesizes its own Outcome from many encounters, so it
-	// never collects per-encounter traces; pooled receivers keep the
-	// multi-day loop allocation-free.
-	pool := &sync.Pool{New: func() any { return &interpretedReceiver{c: &c} }}
-	res, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}.Run(ctx, c.subject(pool))
+	res, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}.Run(ctx, c.interpreted())
 	if err != nil {
 		return CampaignMetrics{}, err
 	}
 	return CampaignMetricsFrom(res), nil
+}
+
+// interpreted is the campaign's subject loop over agent.Receivers, shared
+// by Run and the program Compile returns, which replays sampled subjects
+// on it. The campaign synthesizes its own Outcome from many encounters, so
+// it never collects per-encounter traces; pooled receivers keep the
+// multi-day loop allocation-free.
+func (c *Campaign) interpreted() sim.SubjectFunc {
+	return c.subject(&sync.Pool{New: func() any { return &interpretedReceiver{c: c} }})
 }
 
 // Compile lowers the campaign into a loop program: the subject loop Run
@@ -363,7 +381,12 @@ func (c Campaign) Compile() (*sim.Program, error) {
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return &loweredReceiver{hazard: hazard, falseAlarm: falseAlarm} }}
-	return sim.NewLoopProgram(c.Population, c.subject(pool))
+	prog, err := sim.NewLoopProgram(c.Population, c.subject(pool))
+	if err != nil {
+		return nil, err
+	}
+	prog.Interpreted = c.interpreted()
+	return prog, nil
 }
 
 // encounter is the warning firing on day, on a phish (hazard) or on a

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"hitl/internal/sim"
-	"hitl/internal/telemetry"
 )
 
 // Engine names a requested engine path for a scenario run.
@@ -107,10 +106,13 @@ type Compiler interface {
 // (sim.EngineInterpreted, sim.EngineCompiled, or sim.EngineAnalytic).
 //
 // Fallback rules: shapes the compiler refuses, scenarios that don't
-// implement Compiler, and runs that need per-subject observation the
-// compiled loop never materializes (an attached trace recorder or fault
-// injector) all run interpreted — silently under EngineAuto and
-// EngineCompiled, as an error under the strict EngineAnalytic.
+// implement Compiler, and faulted runs (agent-level fault probes never
+// fire inside compiled subjects) run interpreted — silently under
+// EngineAuto and EngineCompiled, as an error under the strict
+// EngineAnalytic. A trace recorder does not choose the path: after a
+// compiled or analytic run, each unit's sampled subjects are replayed on
+// the interpreter (sim.Runner.SampleTraces), which yields the traces an
+// interpreted run would have sampled.
 func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string, error) {
 	eng := EngineFromContext(ctx)
 	interpret := func() ([]Point, string, error) {
@@ -128,12 +130,9 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 		}
 		return interpret()
 	}
-	// Compiled subjects never materialize stage traces and agent-level
-	// fault probes never fire inside them; runs that want either must
-	// observe real interpreted subjects.
-	if telemetry.RecorderFromContext(ctx) != nil || sim.InjectorFromContext(ctx) != nil {
+	if sim.InjectorFromContext(ctx) != nil {
 		if eng == EngineAnalytic {
-			return nil, "", fmt.Errorf("scenario %s: the analytic engine cannot record traces or inject faults", sc.Name())
+			return nil, "", fmt.Errorf("scenario %s: the analytic engine cannot inject faults", sc.Name())
 		}
 		return interpret()
 	}
@@ -150,8 +149,15 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 	}
 
 	if eng == EngineAnalytic || eng == EngineAuto {
-		if pts, ok, err := runAnalytic(units, eng); err != nil || ok {
-			return pts, sim.EngineAnalytic, err
+		pts, ok, err := runAnalytic(units, eng)
+		if err != nil {
+			return nil, "", err
+		}
+		if ok {
+			if err := sampleTraces(ctx, sc, units, inst.N); err != nil {
+				return nil, "", err
+			}
+			return pts, sim.EngineAnalytic, nil
 		}
 	}
 
@@ -167,7 +173,21 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 		}
 		pts[i] = Point{Label: u.Label, Run: res, Values: vals}
 	}
+	if err := sampleTraces(ctx, sc, units, inst.N); err != nil {
+		return nil, "", err
+	}
 	return pts, sim.EngineCompiled, nil
+}
+
+// sampleTraces replays each unit's sampled subjects for the trace
+// recorder on ctx, if any, after the units ran compiled or analytic.
+func sampleTraces(ctx context.Context, sc Scenario, units []ProgramUnit, n int) error {
+	for _, u := range units {
+		if err := (sim.Runner{Seed: u.Seed, N: n}).SampleTraces(ctx, u.Prog); err != nil {
+			return fmt.Errorf("scenario %s: sampling %s: %w", sc.Name(), u.Label, err)
+		}
+	}
+	return nil
 }
 
 // runAnalytic answers every unit in closed form when all are eligible.

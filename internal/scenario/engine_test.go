@@ -16,10 +16,10 @@ import (
 	"testing"
 
 	"hitl/internal/agent"
+	"hitl/internal/faults"
 	"hitl/internal/scenario"
 	_ "hitl/internal/scenario/all"
 	"hitl/internal/sim"
-	"hitl/internal/telemetry"
 )
 
 // runEngineSpec runs a spec under a forced engine path and returns the
@@ -141,8 +141,8 @@ func TestAnalyticEngineZeroMonteCarlo(t *testing.T) {
 
 // TestEngineStrictAndFallbackRules pins the selection semantics around
 // refusals: forced analytic is strict, forced compiled falls back
-// silently, and per-subject observation (trace recorders) forces the
-// interpreter under auto.
+// silently, a trace recorder leaves auto compiled, and fault injection
+// forces the interpreter under auto.
 func TestEngineStrictAndFallbackRules(t *testing.T) {
 	diverse := scenario.Spec{Scenario: "phishing-study", N: 200, Seed: 3}
 	ctx := scenario.WithEngine(context.Background(), scenario.EngineAnalytic)
@@ -162,15 +162,25 @@ func TestEngineStrictAndFallbackRules(t *testing.T) {
 		t.Error("fallback run differs from the interpreted run")
 	}
 
-	// A trace recorder needs real interpreted subjects; auto must yield.
+	// A trace recorder does not choose the path: auto runs compiled and
+	// replays the sampled subjects, which yields the interpreted traces.
 	study := readExample(t, "phishing-study.json")
-	rctx := telemetry.WithRecorder(context.Background(), telemetry.NewRecorder(4, study.Seed))
-	traced, err := scenario.Run(rctx, study)
-	if err != nil {
-		t.Fatal(err)
+	traced, traces, _ := tracedRun(t, context.Background(), study, 4)
+	if traced.EnginePath != sim.EngineCompiled {
+		t.Errorf("auto with a recorder ran %q, want compiled", traced.EnginePath)
 	}
-	if traced.EnginePath != sim.EngineInterpreted {
-		t.Errorf("auto with a recorder ran %q, want interpreted", traced.EnginePath)
+	_, want, _ := tracedRun(t, scenario.WithEngine(context.Background(), scenario.EngineInterpreted), study, 4)
+	if len(traces) == 0 || !reflect.DeepEqual(traces, want) {
+		t.Errorf("auto traces differ from forced-interpreted traces\nauto:        %+v\ninterpreted: %+v", traces, want)
+	}
+	// The interpreter still answers what only it can: a refusing compiler
+	// and agent-level fault probes.
+	if res, _, _ := tracedRun(t, context.Background(), refusing, 4); res.EnginePath != sim.EngineInterpreted {
+		t.Errorf("auto with a recorder on a non-compilable scenario ran %q, want interpreted", res.EnginePath)
+	}
+	fctx := sim.WithInjector(context.Background(), faults.MustParse("fail:stage=comprehension,p=0.2"))
+	if res, _, _ := tracedRun(t, fctx, study, 4); res.EnginePath != sim.EngineInterpreted {
+		t.Errorf("auto with a recorder and faults ran %q, want interpreted", res.EnginePath)
 	}
 
 	if _, err := scenario.ParseEngine("warp"); err == nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,6 +186,47 @@ func TestDegradedModeClampsSubjectsAndBypassesCache(t *testing.T) {
 	decodeBody(t, resp2, &body2)
 	if body2.N != 500 {
 		t.Errorf("recovered run simulated n=%d subjects, want the requested 500", body2.N)
+	}
+}
+
+// TestDegradedModeNeverRaisesN runs Figure 3, whose own default is 1500
+// subjects per arm, at n=0 on forced-degraded servers: a cap above the
+// default must leave the run at its default, and a cap below it must cap
+// the default.
+func TestDegradedModeNeverRaisesN(t *testing.T) {
+	f3 := func(n, degradedCap int) map[string]float64 {
+		t.Helper()
+		cfg := quietConfig()
+		cfg.DegradeWindow = time.Hour
+		if degradedCap > 0 {
+			cfg.DegradedMaxSubjects = degradedCap
+		}
+		srv := New(cfg)
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		if degradedCap > 0 {
+			srv.overload.shed() // force degraded mode
+		}
+		resp := postJSON(t, ts.URL+"/v1/experiments/run", map[string]any{"id": "F3", "n": n})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("F3 n=%d: status %d", n, resp.StatusCode)
+		}
+		if got, want := resp.Header.Get("X-Degraded") != "", degradedCap > 0; got != want {
+			t.Errorf("F3 n=%d cap=%d: X-Degraded present %v, want %v", n, degradedCap, got, want)
+		}
+		var body struct {
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		decodeBody(t, resp, &body)
+		if len(body.Metrics) == 0 {
+			t.Fatalf("F3 n=%d: no metrics", n)
+		}
+		return body.Metrics
+	}
+	for _, tc := range []struct{ cap, sameAsN int }{{2500, 0}, {1000, 1000}} {
+		if got, want := f3(0, tc.cap), f3(tc.sameAsN, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("degraded F3 at n=0 with cap %d differs from an undegraded n=%d run:\n%v\nvs\n%v", tc.cap, tc.sameAsN, got, want)
+		}
 	}
 }
 

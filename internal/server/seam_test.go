@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +125,68 @@ func TestOneResultPerDigestAcrossDoors(t *testing.T) {
 			code, stored, storedTag := getBody(t, fresh.URL+resultURL)
 			if code != http.StatusOK || !bytes.Equal(stored, first) || storedTag != firstTag {
 				t.Errorf("after a restart the stored result changed: ETag %s -> %s", firstTag, storedTag)
+			}
+		})
+	}
+}
+
+// doorBody is the part of a scenario result the sync body and the job
+// envelope share and that depends on the engine path.
+type doorBody struct {
+	Engine  string `json:"engine"`
+	Points  any    `json:"points"`
+	Metrics any    `json:"metrics"`
+	Trace   []any  `json:"trace"`
+}
+
+// TestJobAndSyncDoorsAgreeOnEngineAndValues sends every example spec
+// through the sync door and the job door of one server, and requires the
+// job's stored result to carry the sync body's engine path, points and
+// metrics. The job door samples subject traces; that must not move it off
+// the path the spec resolves to, nor change the values it stores.
+func TestJobAndSyncDoorsAgreeOnEngineAndValues(t *testing.T) {
+	entries, err := os.ReadDir("../../examples/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(quietConfig()))
+	defer ts.Close()
+	for _, e := range entries {
+		t.Run(e.Name(), func(t *testing.T) {
+			body, digest := exampleBody(t, e.Name())
+			var sync doorBody
+			resp := postJSON(t, ts.URL+"/v1/scenarios/run", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sync run: %d", resp.StatusCode)
+			}
+			decodeBody(t, resp, &sync)
+
+			st, _, code := submitJob(t, ts.URL, body)
+			if code != http.StatusAccepted {
+				t.Fatalf("job submit: %d", code)
+			}
+			if done := awaitJob(t, ts.URL, st.ID); done.State != jobs.StateComplete {
+				t.Fatalf("job ended %s: %s", done.State, done.Error)
+			}
+			code, raw, _ := getBody(t, ts.URL+"/v1/jobs/"+digest+"/result")
+			if code != http.StatusOK {
+				t.Fatalf("job result: %d", code)
+			}
+			var job doorBody
+			if err := json.Unmarshal(raw, &job); err != nil {
+				t.Fatal(err)
+			}
+			if len(job.Trace) == 0 {
+				t.Error("job result carries no sampled traces")
+			}
+			if job.Engine != sync.Engine {
+				t.Errorf("job door ran %q, sync door %q", job.Engine, sync.Engine)
+			}
+			if !reflect.DeepEqual(job.Points, sync.Points) {
+				t.Errorf("job points differ from sync points\njob:  %v\nsync: %v", job.Points, sync.Points)
+			}
+			if !reflect.DeepEqual(job.Metrics, sync.Metrics) {
+				t.Errorf("job metrics differ from sync metrics\njob:  %v\nsync: %v", job.Metrics, sync.Metrics)
 			}
 		})
 	}

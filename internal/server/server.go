@@ -473,18 +473,17 @@ func (s *Server) runOptions(w http.ResponseWriter, r *http.Request) (scenario.Op
 }
 
 // clampDegraded applies degraded mode to a requested subject count: while
-// the server is degraded, n is clamped to DegradedMaxSubjects (n=0, a
-// default that is often the largest run, is clamped too), the response
-// carries X-Degraded, and the degraded-run counter ticks. Degraded runs
-// must never enter the result cache: a clamped run must not be replayed as
-// the real answer once the server recovers.
+// the server is degraded, n is capped at DegradedMaxSubjects, the response
+// carries X-Degraded, and the degraded-run counter ticks. It never raises
+// n: n=0 (an experiment's own default) stays 0, and the experiment door
+// caps the defaults through experiments.Config.MaxN. Degraded runs must
+// never enter the result cache: a clamped run must not be replayed as the
+// real answer once the server recovers.
 func (s *Server) clampDegraded(w http.ResponseWriter, n int) (int, bool) {
 	if !s.overload.degraded() {
 		return n, false
 	}
-	if n == 0 || n > s.cfg.DegradedMaxSubjects {
-		n = s.cfg.DegradedMaxSubjects
-	}
+	n = min(n, s.cfg.DegradedMaxSubjects)
 	w.Header().Set("X-Degraded", "subjects-clamped")
 	s.overload.degradedRuns.Add(1)
 	return n, true
@@ -812,9 +811,14 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	}
 	wantSpans := r.URL.Query().Get("spans") == "1"
 	// Under sustained overload the server trades fidelity for liveness:
-	// subject counts are clamped until the degraded window clears.
+	// subject counts, the experiments' own defaults included, are capped
+	// until the degraded window clears.
 	var degraded bool
 	req.N, degraded = s.clampDegraded(w, req.N)
+	cfg := experiments.Config{Seed: req.Seed, N: req.N}
+	if degraded {
+		cfg.MaxN = s.cfg.DegradedMaxSubjects
+	}
 
 	// Runs are deterministic in (id, seed, n), so identical requests can be
 	// answered from the result cache — but only full-fidelity ones: no
@@ -831,7 +835,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	// The request context cancels the Monte Carlo workers when the client
 	// disconnects or the server drains, so abandoned runs stop burning CPU.
 	ctx, ex := scenario.Attach(r.Context(), req.Seed, opts)
-	out, err := experiments.Run(ctx, req.ID, experiments.Config{Seed: req.Seed, N: req.N})
+	out, err := experiments.Run(ctx, req.ID, cfg)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, experiments.ErrUnknown) {
@@ -847,7 +851,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// seed and n echo the parameters the run actually executed with — n in
 	// particular may have been clamped by degraded mode (0 still means the
-	// experiment's own default).
+	// experiment's own default, capped while degraded).
 	resp := map[string]any{
 		"id":         out.ID,
 		"seed":       req.Seed,

@@ -54,6 +54,11 @@ type Program struct {
 	// subject loop (sampling Pop itself) over lowered encounters. It must
 	// be safe for concurrent use, like any SubjectFunc.
 	Loop SubjectFunc
+	// Interpreted is the interpreted subject function the program
+	// reproduces, collecting the stage trace its outcomes carry, if any.
+	// SampleTraces replays sampled subjects on it; the compiled run never
+	// calls it.
+	Interpreted SubjectFunc
 }
 
 // NewProgram compiles (population, encounter) into a Program. It returns
@@ -121,10 +126,11 @@ func (p *Program) subject() SubjectFunc {
 // RunProgram executes the compiled program under the same scheduling,
 // cancellation, panic containment, and aggregation as Run, and returns a
 // bit-identical Result. Differences from the interpreted path are only
-// observational: compiled subjects never materialize stage traces (a
-// telemetry.Recorder sees check-less trajectories) and agent-level fault
-// probes never fire — callers that need either keep using Run; the
-// scenario layer's engine selection enforces this.
+// observational: compiled subjects build no stage trace, so RunProgram
+// offers nothing to a telemetry.Recorder (SampleTraces samples the run's
+// subjects by replay), and agent-level fault probes never fire, so
+// faulted runs keep using Run; the scenario layer's engine selection
+// enforces both.
 func (ru Runner) RunProgram(ctx context.Context, p *Program) (*Result, error) {
 	if p == nil || (p.Params == nil && p.Loop == nil) {
 		return nil, fmt.Errorf("sim: nil program")

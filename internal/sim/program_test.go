@@ -14,6 +14,7 @@ import (
 	"hitl/internal/gems"
 	"hitl/internal/population"
 	"hitl/internal/stimuli"
+	"hitl/internal/telemetry"
 )
 
 // studyEncounter is the phishing-study encounter shape: one warning, busy
@@ -246,5 +247,37 @@ func BenchmarkRunProgram(b *testing.B) {
 	if perRun > maxCompiledAllocsPerRun {
 		b.Fatalf("compiled run allocated %.0f objects/op, ceiling is %d; a per-subject allocation crept into the compiled path",
 			perRun, maxCompiledAllocsPerRun)
+	}
+}
+
+// TestSampleTracesReplayFailure pins how a replay fails: without a
+// recorder SampleTraces does nothing, a program without an interpreted
+// subject cannot be sampled, and a replayed subject's panic or error
+// fails the call the way it would fail a run.
+func TestSampleTracesReplayFailure(t *testing.T) {
+	prog, err := NewProgram(population.GeneralPublic(), nil, studyEncounter(comms.FirefoxActiveWarning()), false, agent.Skill{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ru := Runner{Seed: 1, N: 100}
+	traced := func() context.Context {
+		return telemetry.WithRecorder(context.Background(), telemetry.NewRecorder(4, 1))
+	}
+	if err := ru.SampleTraces(context.Background(), prog); err != nil {
+		t.Errorf("untraced SampleTraces: %v", err)
+	}
+	if err := ru.SampleTraces(traced(), prog); err == nil {
+		t.Error("sampling a program without an interpreted subject: want error, got nil")
+	}
+
+	prog.Interpreted = func(*rand.Rand, int) (Outcome, error) { panic("replay boom") }
+	var pe *PanicError
+	if err := ru.SampleTraces(traced(), prog); !errors.As(err, &pe) {
+		t.Errorf("panicking replay: got %v, want a *PanicError", err)
+	}
+	bad := errors.New("bad subject")
+	prog.Interpreted = func(*rand.Rand, int) (Outcome, error) { return Outcome{}, bad }
+	if err := ru.SampleTraces(traced(), prog); !errors.Is(err, bad) {
+		t.Errorf("failing replay: got %v, want the subject error", err)
 	}
 }

@@ -465,7 +465,12 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 		telemetry.String("workers", strconv.Itoa(workers)),
 		telemetry.String("seed", strconv.FormatInt(ru.Seed, 10)))
 	defer span.End()
-	rec := telemetry.RecorderFromContext(ctx)
+	// Only interpreted subjects carry a stage trace to offer; compiled runs
+	// are sampled by replay (SampleTraces).
+	var rec *telemetry.Recorder
+	if path == EngineInterpreted {
+		rec = telemetry.RecorderFromContext(ctx)
+	}
 	inj := InjectorFromContext(ctx)
 	col := ReportCollectorFromContext(ctx)
 	// A shard run simulates global subjects [offset, offset+N): streams,
@@ -817,4 +822,54 @@ func (r *Result) SortedStages() []agent.Stage {
 		}
 	}
 	return out
+}
+
+// replayStream is one reseedable subject stream for SampleTraces. It is
+// pooled: a traced run replays a few subjects per unit, and a fresh
+// ~5 KB source per unit would cost more than the replays.
+type replayStream struct {
+	src rngSource
+	rng *rand.Rand
+}
+
+var replayStreams = sync.Pool{New: func() any {
+	st := &replayStream{}
+	st.rng = rand.New(&st.src)
+	return st
+}}
+
+// SampleTraces samples the subject traces of the run ru describes without
+// running it: it offers subjects [offset, offset+N) — offset from
+// WithSubjectOffset — to the telemetry.Recorder on ctx, and re-simulates
+// each subject that wins a slot on the program's interpreted subject, from
+// the subject's own stream, to build its trace. Sampling priorities hash
+// the subject's identity, never its outcome, so a compiled or analytic
+// run samples exactly the traces an interpreted run of the same spec
+// does, at the cost of at most the recorder's capacity in interpreted
+// subjects. A replay is not a run: it ticks no run or subject counter and
+// adds no span or EngineReport. A replayed subject's error or contained
+// panic fails the call, as a subject error fails a run. Without a
+// recorder it does nothing.
+func (ru Runner) SampleTraces(ctx context.Context, p *Program) error {
+	rec := telemetry.RecorderFromContext(ctx)
+	if rec == nil {
+		return nil
+	}
+	if p == nil || p.Interpreted == nil {
+		return fmt.Errorf("sim: program has no interpreted subject to replay")
+	}
+	st := replayStreams.Get().(*replayStream)
+	defer replayStreams.Put(st)
+	return rec.ConsiderRange(ru.Seed, SubjectOffsetFromContext(ctx), ru.N, func(g int) (telemetry.SubjectTrace, error) {
+		st.src.Seed(splitmix64(ru.Seed, g))
+		out, err := ru.runSubject(p.Interpreted, nil, st.rng, g)
+		var pe *PanicError
+		switch {
+		case errors.As(err, &pe):
+			return telemetry.SubjectTrace{}, err
+		case err != nil:
+			return telemetry.SubjectTrace{}, fmt.Errorf("sim: subject %d: %w", g, err)
+		}
+		return subjectTrace(ru.Seed, g, out), nil
+	})
 }

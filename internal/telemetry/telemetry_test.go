@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -116,6 +119,89 @@ func makeTrace(seed int64, subject int) SubjectTrace {
 			{Stage: "attention-switch", P: 0.9, Passed: true},
 			{Stage: "comprehension", P: 0.4, Passed: false, Note: "inaccurate mental model"},
 		},
+	}
+}
+
+// TestConsiderRangeMatchesConsider pins the range pass to the per-subject
+// rule: over several runs and offsets it keeps the same traces, counts the
+// same offers and ticks the same kept-trace counter as one Consider per
+// subject, builds each final winner exactly once, and on a build error
+// leaves no half-built entry behind.
+func TestConsiderRangeMatchesConsider(t *testing.T) {
+	const k = 8
+	type run struct {
+		seed      int64
+		offset, n int
+	}
+	runs := []run{{3, 0, 500}, {9, 100, 40}, {3, 2000, 3}, {11, 0, 5000}}
+
+	byConsider := NewRecorder(k, 5)
+	ticks := engine.tracesKept.Load()
+	for _, r := range runs {
+		for g := r.offset; g < r.offset+r.n; g++ {
+			byConsider.Consider(r.seed, g, func() SubjectTrace { return makeTrace(r.seed, g) })
+		}
+	}
+	wantTicks := engine.tracesKept.Load() - ticks
+
+	byRange := NewRecorder(k, 5)
+	ticks = engine.tracesKept.Load()
+	for _, r := range runs {
+		built := map[int]int{}
+		err := byRange.ConsiderRange(r.seed, r.offset, r.n, func(g int) (SubjectTrace, error) {
+			built[g]++
+			return makeTrace(r.seed, g), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(built) > k {
+			t.Errorf("run %+v built %d traces, want at most %d", r, len(built), k)
+		}
+		for g, c := range built {
+			if c != 1 {
+				t.Errorf("run %+v built subject %d %d times", r, g, c)
+			}
+		}
+	}
+	if got := engine.tracesKept.Load() - ticks; got != wantTicks {
+		t.Errorf("range pass ticked %d kept traces, Consider %d", got, wantTicks)
+	}
+	if byRange.Offered() != byConsider.Offered() {
+		t.Errorf("Offered() = %d, Consider gives %d", byRange.Offered(), byConsider.Offered())
+	}
+	if !reflect.DeepEqual(byRange.Traces(), byConsider.Traces()) {
+		t.Errorf("range pass sampled %+v\nConsider sampled %+v", byRange.Traces(), byConsider.Traces())
+	}
+
+	// Passes of different runs may share one recorder concurrently; the
+	// sample does not depend on their order.
+	shared := NewRecorder(k, 5)
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		wg.Add(1)
+		go func(r run) {
+			defer wg.Done()
+			err := shared.ConsiderRange(r.seed, r.offset, r.n, func(g int) (SubjectTrace, error) {
+				return makeTrace(r.seed, g), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}(r)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(shared.Traces(), byConsider.Traces()) || shared.Offered() != byConsider.Offered() {
+		t.Errorf("concurrent range passes sampled %+v\nConsider sampled %+v", shared.Traces(), byConsider.Traces())
+	}
+
+	failing := NewRecorder(k, 5)
+	boom := errors.New("boom")
+	if err := failing.ConsiderRange(3, 0, 500, func(int) (SubjectTrace, error) { return SubjectTrace{}, boom }); !errors.Is(err, boom) {
+		t.Fatalf("ConsiderRange error = %v, want the build error", err)
+	}
+	if got := failing.Traces(); len(got) != 0 {
+		t.Errorf("a failed pass left %d entries in the reservoir", len(got))
 	}
 }
 

@@ -49,10 +49,13 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// sampledTrace pairs a trace with its sampling priority.
+// sampledTrace pairs a trace with its sampling priority. A pending entry
+// won its slot during a ConsiderRange pass and holds only the subject's
+// identity until the pass builds its trace.
 type sampledTrace struct {
 	priority uint64
 	trace    SubjectTrace
+	pending  bool
 }
 
 // traceHeap is a max-heap on priority, so the kept set is always the K
@@ -109,9 +112,36 @@ func (r *Recorder) Offered() int64 {
 	return r.offered
 }
 
+// runBase is the part of a subject's sampling priority shared by every
+// subject of the run seeded runSeed.
+func (r *Recorder) runBase(runSeed int64) uint64 {
+	return mix64(uint64(r.seed) ^ mix64(uint64(runSeed)))
+}
+
 // priority derives the deterministic sampling priority for a subject.
-func (r *Recorder) priority(runSeed int64, subject int) uint64 {
-	return mix64(mix64(uint64(r.seed)^mix64(uint64(runSeed))) + uint64(int64(subject)))
+func priority(runBase uint64, subject int) uint64 {
+	return mix64(runBase + uint64(int64(subject)))
+}
+
+// wins reports whether an offer at priority p takes a reservoir slot:
+// every offer does while the reservoir has room, and after that only one
+// below the largest kept priority. A subject's priority is fixed and the
+// threshold only tightens as offers accumulate, so a subject that loses
+// now could never win later. The caller holds r.mu.
+func (r *Recorder) wins(p uint64) bool {
+	return len(r.kept) < r.k || p < r.kept[0].priority
+}
+
+// keep puts an offer that wins into the reservoir, evicting the largest
+// kept priority once it is full. The caller holds r.mu.
+func (r *Recorder) keep(st sampledTrace) {
+	if len(r.kept) < r.k {
+		heap.Push(&r.kept, st)
+		engine.tracesKept.Add(1)
+		return
+	}
+	r.kept[0] = st
+	heap.Fix(&r.kept, 0)
 }
 
 // Offer submits one subject trace to the reservoir. Safe for concurrent
@@ -122,28 +152,81 @@ func (r *Recorder) Offer(t SubjectTrace) {
 
 // Consider offers the subject identified by (runSeed, subject) and calls
 // build to materialize its trace only if the subject currently wins a
-// reservoir slot. A subject's priority is fixed and the admission threshold
-// only tightens as offers accumulate, so a subject rejected now could never
-// be admitted later and skipping build loses nothing. This keeps the
-// per-subject cost of an enabled recorder to one hash plus a mutexed
-// comparison for the vast majority of subjects that are not sampled. Safe
-// for concurrent use; a nil recorder ignores the offer.
+// reservoir slot; a subject rejected now could never be admitted later, so
+// skipping build loses nothing. This keeps the per-subject cost of an
+// enabled recorder to one hash plus a mutexed comparison for the vast
+// majority of subjects that are not sampled. Safe for concurrent use; a
+// nil recorder ignores the offer.
 func (r *Recorder) Consider(runSeed int64, subject int, build func() SubjectTrace) {
 	if r == nil {
 		return
 	}
-	p := r.priority(runSeed, subject)
+	p := priority(r.runBase(runSeed), subject)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.offered++
-	switch {
-	case len(r.kept) < r.k:
-		heap.Push(&r.kept, sampledTrace{priority: p, trace: build()})
-		engine.tracesKept.Add(1)
-	case p < r.kept[0].priority:
-		r.kept[0] = sampledTrace{priority: p, trace: build()}
-		heap.Fix(&r.kept, 0)
+	if r.wins(p) {
+		r.keep(sampledTrace{priority: p, trace: build()})
 	}
+}
+
+// ConsiderRange offers subjects [offset, offset+n) of the run seeded
+// runSeed under one lock, by Consider's admission rule: the same
+// priorities, the same Offered count, the same kept-trace ticks, and so
+// the same sample as n Consider calls. Priorities never depend on an
+// outcome, so the winners are known before any trace exists. A winner
+// stays pending while the pass runs, and a later offer may evict it
+// unbuilt; at the end build materializes each remaining winner once, in
+// subject order — at most Cap() builds per pass. build runs under the
+// recorder's lock and must not call back into it. The first build error
+// ends the pass: the winners still pending leave the reservoir and the
+// error is returned. Safe for concurrent use; a nil recorder ignores the
+// pass.
+func (r *Recorder) ConsiderRange(runSeed int64, offset, n int, build func(subject int) (SubjectTrace, error)) error {
+	if r == nil || n < 1 {
+		return nil
+	}
+	base := r.runBase(runSeed)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.offered += int64(n)
+	for g := offset; g < offset+n; g++ {
+		if p := priority(base, g); r.wins(p) {
+			r.keep(sampledTrace{priority: p, trace: SubjectTrace{Subject: g, Seed: runSeed}, pending: true})
+		}
+	}
+
+	var pending []int
+	for i := range r.kept {
+		if r.kept[i].pending {
+			pending = append(pending, i)
+		}
+	}
+	sort.Slice(pending, func(a, b int) bool {
+		return r.kept[pending[a]].trace.Subject < r.kept[pending[b]].trace.Subject
+	})
+	for _, i := range pending {
+		t, err := build(r.kept[i].trace.Subject)
+		if err != nil {
+			r.dropPending()
+			return err
+		}
+		r.kept[i] = sampledTrace{priority: r.kept[i].priority, trace: t}
+	}
+	return nil
+}
+
+// dropPending removes every pending entry from the reservoir. The caller
+// holds r.mu.
+func (r *Recorder) dropPending() {
+	kept := r.kept[:0]
+	for _, st := range r.kept {
+		if !st.pending {
+			kept = append(kept, st)
+		}
+	}
+	r.kept = kept
+	heap.Init(&r.kept)
 }
 
 // Traces returns the sampled traces ordered by (seed, subject index).
