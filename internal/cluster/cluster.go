@@ -135,6 +135,19 @@ type RunStats struct {
 	Rounds int `json:"rounds,omitempty"`
 }
 
+// add folds one round's stats into s.
+func (s *RunStats) add(r RunStats) {
+	s.Shards += r.Shards
+	s.Dispatched += r.Dispatched
+	s.Retries += r.Retries
+	s.Failovers += r.Failovers
+	s.Partial = s.Partial || r.Partial
+	s.Missing = append(s.Missing, r.Missing...)
+	for node, n := range r.Nodes {
+		s.Nodes[node] += n
+	}
+}
+
 func (s RunStats) String() string {
 	return fmt.Sprintf("shards=%d dispatched=%d retries=%d failovers=%d partial=%v",
 		s.Shards, s.Dispatched, s.Retries, s.Failovers, s.Partial)

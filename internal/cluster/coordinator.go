@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -9,8 +10,8 @@ import (
 	"sync"
 	"time"
 
+	"hitl/internal/report"
 	"hitl/internal/scenario"
-	"hitl/internal/sim"
 	"hitl/internal/telemetry"
 )
 
@@ -266,87 +267,66 @@ func (c *Coordinator) NodeStates() map[string]string {
 // single-node run of spec — regardless of pool size, shard count,
 // retries, or failovers — because every shard simulates its global
 // subject subrange under the engine's (seed, subject index) contract.
+// Run normalizes and digests spec for library callers; front doors, which
+// already have both, call Execute.
 func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
 	norm, err := scenario.Normalize(spec)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	if norm.Rounds > 0 {
-		return c.runEpisode(ctx, norm, opts)
-	}
-	return c.runSharded(ctx, norm, opts)
-}
-
-// runEpisode executes an episodic spec across the pool: rounds run
-// sequentially (round r+1's parameters depend on round r's aggregates),
-// and each round — a complete, round-free spec — is sharded across the
-// workers exactly like a standalone run, so the merged round result is
-// bit-identical to a single-node run of that round's RoundSpec. Partial
-// completion is refused: a round with missing shards would feed the
-// adaptive policy different aggregates and silently change every later
-// round.
-func (c *Coordinator) runEpisode(ctx context.Context, norm scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
-	if opts.AllowPartial {
-		return nil, RunStats{}, fmt.Errorf("cluster: episodic runs cannot be partial (a short round would change every later round)")
-	}
-	pol, err := scenario.EpisodePolicy(norm)
+	digest, err := scenario.Digest(norm)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	res := &scenario.Result{Scenario: norm.Scenario, Spec: norm}
-	total := RunStats{Rounds: norm.Rounds, Nodes: make(map[string]int)}
-	ep := sim.Episode{
-		Seed:   norm.Seed,
-		Rounds: norm.Rounds,
-		Policy: pol,
-		Run: func(ctx context.Context, round int, seed int64, params sim.RoundParams) (sim.RoundAggregate, error) {
-			rspec, err := scenario.RoundSpec(norm, round, params)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			rres, rstats, err := c.runSharded(ctx, rspec, opts)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			total.Shards += rstats.Shards
-			total.Dispatched += rstats.Dispatched
-			total.Retries += rstats.Retries
-			total.Failovers += rstats.Failovers
-			for node, n := range rstats.Nodes {
-				total.Nodes[node] += n
-			}
-			sum := scenario.SummarizeRound(rres)
-			sum.Round = round
-			sum.Seed = seed
-			sum.Params = params
-			res.EnginePath = foldPath(res.EnginePath, rres.EnginePath)
-			res.Rounds = append(res.Rounds, sum)
-			res.Points = append(res.Points, scenario.LabelRound(round, rres.Points)...)
-			return sum.RoundAggregate, nil
-		},
-	}
-	if _, err := ep.Play(ctx); err != nil {
-		return nil, total, err
-	}
-	telemetry.RecordClusterRun(false)
-	return res, total, nil
+	ex, stats, err := c.Execute(ctx, norm, digest, opts, scenario.Options{})
+	return ex.Result, stats, err
 }
 
-// foldPath mirrors the scenario layer's engine-path folding: equal paths
-// keep their name, differing rounds report "mixed".
-func foldPath(acc, path string) string {
-	if acc == "" || acc == path {
-		return path
+// Execute runs a normalized spec whose digest is Digest(norm) across the
+// pool, through scenario.Execute with the coordinator's sharded dispatch
+// as the runner: the seam keeps the sweep and episode loops and the
+// report, and each round-free spec it hands over — the whole run, or one
+// episode round — is sharded like a standalone run, so every merged round
+// is bit-identical to a single-node run of its RoundSpec. The returned
+// stats sum over rounds, the run counts once in hitl_cluster_runs_total,
+// and a report, when sopts asks for one, carries the cluster section.
+//
+// Partial episodes are refused with a "rounds" SpecError before any shard
+// is dispatched: a round with missing shards would feed the adaptive
+// policy different aggregates and silently change every later round.
+func (c *Coordinator) Execute(ctx context.Context, norm scenario.Spec, digest string, opts RunOptions, sopts scenario.Options) (*scenario.Execution, RunStats, error) {
+	stats := RunStats{Rounds: norm.Rounds, Nodes: make(map[string]int)}
+	if norm.Rounds > 0 && opts.AllowPartial {
+		return &scenario.Execution{}, stats, &scenario.SpecError{Field: "rounds",
+			Err: errors.New("episodic runs cannot be partial (a short round would change every later round)")}
 	}
-	return "mixed"
+	sopts.Dispatch = func(ctx context.Context, norm scenario.Spec, digest string) (*scenario.Result, error) {
+		res, rs, err := c.runSharded(ctx, norm, digest, opts)
+		stats.add(rs)
+		return res, err
+	}
+	ex, err := scenario.Execute(ctx, norm, digest, sopts)
+	if err == nil {
+		telemetry.RecordClusterRun(stats.Partial)
+	}
+	if ex.Report != nil {
+		ex.Report.Partial = stats.Partial
+		ex.Report.Cluster = &report.ClusterReport{
+			Shards:     stats.Shards,
+			Dispatched: stats.Dispatched,
+			Retries:    stats.Retries,
+			Failovers:  stats.Failovers,
+			Nodes:      stats.Nodes,
+			Partial:    stats.Partial,
+			Missing:    stats.Missing,
+		}
+	}
+	return ex, stats, err
 }
 
-// runSharded executes one round-free normalized spec across the pool.
-func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
-	parentDigest, err := scenario.Digest(norm)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
+// runSharded executes one round-free normalized spec, whose canonical
+// digest is parentDigest, across the pool.
+func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, parentDigest string, opts RunOptions) (*scenario.Result, RunStats, error) {
 	count := opts.Shards
 	if count <= 0 {
 		count = len(c.cfg.Workers)
@@ -425,7 +405,6 @@ func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, opts R
 	if err != nil {
 		return nil, stats, err
 	}
-	telemetry.RecordClusterRun(stats.Partial)
 	return merged, stats, nil
 }
 

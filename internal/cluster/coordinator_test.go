@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -369,6 +370,69 @@ func TestClusterPartialCompletion(t *testing.T) {
 	}
 	if got := metricValue(t, "hitl_cluster_partial_runs_total"); got <= partialBefore {
 		t.Errorf("hitl_cluster_partial_runs_total = %v, want > %v", got, partialBefore)
+	}
+}
+
+// TestClusterEpisodeCountsOneRun shards a 4-round adaptive episode across
+// the pool: the coordinated run ticks hitl_cluster_runs_total exactly once,
+// however many rounds it shards, and is never counted partial.
+func TestClusterEpisodeCountsOneRun(t *testing.T) {
+	workers := []string{
+		newWorker(t, quietServerConfig(), nil).URL,
+		newWorker(t, quietServerConfig(), nil).URL,
+	}
+	coord := newCoord(t, workers, nil)
+	spec := readExample(t, "phishing-adaptive-campaign.json")
+	spec.N = 120
+
+	runsBefore := metricValue(t, "hitl_cluster_runs_total")
+	partialBefore := metricValue(t, "hitl_cluster_partial_runs_total")
+	_, stats, err := coord.Run(context.Background(), spec, cluster.RunOptions{Shards: 2})
+	if err != nil {
+		t.Fatalf("episode run: %v (%s)", err, stats)
+	}
+	if stats.Rounds != spec.Rounds || stats.Shards != 2*spec.Rounds {
+		t.Errorf("stats = %s over %d rounds, want 2 shards per round", stats, stats.Rounds)
+	}
+	if got := metricValue(t, "hitl_cluster_runs_total") - runsBefore; got != 1 {
+		t.Errorf("a %d-round episode moved hitl_cluster_runs_total by %v, want 1", spec.Rounds, got)
+	}
+	if got := metricValue(t, "hitl_cluster_partial_runs_total") - partialBefore; got != 0 {
+		t.Errorf("a complete episode moved hitl_cluster_partial_runs_total by %v, want 0", got)
+	}
+}
+
+// TestClusterRefusesPartialEpisode asks for a partial episode: the
+// coordinator refuses it as a "rounds" spec error before any shard leaves,
+// because a short round would change every later round's parameters.
+func TestClusterRefusesPartialEpisode(t *testing.T) {
+	var shardHits atomic.Int32
+	wrap := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == cluster.ShardPath {
+				shardHits.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	}
+	coord := newCoord(t, []string{newWorker(t, quietServerConfig(), wrap).URL}, nil)
+	spec := readExample(t, "phishing-adaptive-campaign.json")
+	spec.N = 60
+
+	dispatchedBefore := metricValue(t, "hitl_cluster_shards_dispatched_total")
+	res, _, err := coord.Run(context.Background(), spec, cluster.RunOptions{Shards: 2, AllowPartial: true})
+	var se *scenario.SpecError
+	if !errors.As(err, &se) || se.Field != "rounds" {
+		t.Fatalf("partial episode: err %v, want a SpecError on rounds", err)
+	}
+	if res != nil {
+		t.Error("refused run returned a result")
+	}
+	if n := shardHits.Load(); n != 0 {
+		t.Errorf("refused run reached a worker %d times", n)
+	}
+	if got := metricValue(t, "hitl_cluster_shards_dispatched_total"); got != dispatchedBefore {
+		t.Errorf("refused run dispatched shards: counter %v -> %v", dispatchedBefore, got)
 	}
 }
 

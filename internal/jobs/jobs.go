@@ -607,24 +607,34 @@ func (m *Manager) run(j *Job, norm scenario.Spec, opts SubmitOptions) {
 }
 
 // Adopt persists a result computed outside the manager — a cluster
-// coordinator's merged run — under id, but only when id has neither a
-// tracked job nor a stored entry. The manager is the one writer of result
-// envelopes: whichever door computes a digest first fixes its body and
-// ETag, and a later door never replaces them, live or after a restart.
+// coordinator's merged run — and its run report under id, but only when
+// id has neither a tracked job nor a stored entry. The manager is the one
+// writer of result envelopes: whichever door computes a digest first
+// fixes its body, report and ETag, and a later door never replaces them,
+// live or after a restart. The report is canonicalized like a job's.
 // Without a store Adopt does nothing.
-func (m *Manager) Adopt(id string, res *scenario.Result) {
+func (m *Manager) Adopt(id string, res *scenario.Result, rep report.RunReport) {
 	if m.cfg.Store == nil {
 		return
 	}
-	// Holding m.mu across the write keeps Submit from starting a job for
-	// id between the check and the put.
+	// Holding m.mu across the writes keeps Submit from starting a job for
+	// id, and a read from loading it, between the check and the puts.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.jobs[id]; ok || m.cfg.Store.Has(id) {
 		return
 	}
-	if body, _, err := EncodeResult(id, res, nil); err == nil {
-		_, _ = m.cfg.Store.Put(id, body)
+	body, _, err := EncodeResult(id, res, nil)
+	if err != nil {
+		return
+	}
+	if _, err := m.cfg.Store.Put(id, body); err != nil {
+		return
+	}
+	rep.JobID = id
+	if rbody, _ := encodeReport(rep.Canonical()); len(rbody) > 0 {
+		// A failed report write leaves the result served, and /report 404.
+		_, _ = m.cfg.Store.Put(ReportKey(id), rbody)
 	}
 }
 

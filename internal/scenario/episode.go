@@ -169,10 +169,10 @@ func RoundSpec(norm Spec, round int, overrides sim.RoundParams) (Spec, error) {
 	return out, nil
 }
 
-// EpisodePolicy compiles a normalized spec's adapt block into the
+// episodePolicy compiles a normalized spec's adapt block into the
 // engine-level policy function; a nil adapt block yields a nil policy
 // (no adaptation: every round runs the base parameters).
-func EpisodePolicy(norm Spec) (sim.AdaptivePolicy, error) {
+func episodePolicy(norm Spec) (sim.AdaptivePolicy, error) {
 	if norm.Adapt == nil {
 		return nil, nil
 	}
@@ -194,17 +194,6 @@ type RoundSummary struct {
 	EnginePath string `json:"engine_path,omitempty"`
 }
 
-// SummarizeRound folds one round's result into the aggregate the
-// adaptive policy (and reports) see: the round's flattened metrics.
-// Shared by the local episode loop and the cluster coordinator so both
-// feed policies identical inputs.
-func SummarizeRound(rres *Result) RoundSummary {
-	return RoundSummary{
-		RoundAggregate: sim.RoundAggregate{Values: rres.Metrics()},
-		EnginePath:     rres.EnginePath,
-	}
-}
-
 // LabelRound prefixes a round's point labels with the round index. It
 // copies rather than mutating, so callers can keep the unlabeled points.
 func LabelRound(round int, pts []Point) []Point {
@@ -220,12 +209,13 @@ func LabelRound(round int, pts []Point) []Point {
 }
 
 // runEpisode executes a normalized episodic spec: norm.Rounds sequential
-// rounds, each a complete standalone spec run, with parameters adapted
-// between rounds by the spec's policy. The observer (when non-nil) fires
-// once per completed round with that round's labeled points, so job
-// streams surface per-round aggregates as they land.
-func runEpisode(ctx context.Context, norm Spec, obs Observer) (*Result, error) {
-	pol, err := EpisodePolicy(norm)
+// rounds, each a complete standalone spec run — local, or handed to
+// opts.Dispatch — with parameters adapted between rounds by the spec's
+// policy. opts.Observe (when non-nil) fires once per completed round with
+// that round's labeled points, so job streams surface per-round
+// aggregates as they land.
+func runEpisode(ctx context.Context, norm Spec, opts Options) (*Result, error) {
+	pol, err := episodePolicy(norm)
 	if err != nil {
 		return nil, err
 	}
@@ -243,20 +233,25 @@ func runEpisode(ctx context.Context, norm Spec, obs Observer) (*Result, error) {
 			if err != nil {
 				return sim.RoundAggregate{}, err
 			}
-			rres, err := Run(ctx, rspec)
+			rdigest, err := Digest(rspec)
 			if err != nil {
 				return sim.RoundAggregate{}, err
 			}
-			sum := SummarizeRound(rres)
-			sum.Round = round
-			sum.Seed = seed
-			sum.Params = params
+			rres, err := run(ctx, rspec, rdigest, Options{Dispatch: opts.Dispatch})
+			if err != nil {
+				return sim.RoundAggregate{}, err
+			}
+			// The policy (and reports) see the round's flattened metrics.
+			sum := RoundSummary{
+				RoundAggregate: sim.RoundAggregate{Round: round, Seed: seed, Params: params, Values: rres.Metrics()},
+				EnginePath:     rres.EnginePath,
+			}
 			res.EnginePath = foldEnginePath(res.EnginePath, rres.EnginePath)
 			res.Rounds = append(res.Rounds, sum)
 			pts := LabelRound(round, rres.Points)
 			res.Points = append(res.Points, pts...)
-			if obs != nil {
-				obs(round+1, norm.Rounds, pts)
+			if opts.Observe != nil {
+				opts.Observe(round+1, norm.Rounds, pts)
 			}
 			return sum.RoundAggregate, nil
 		},

@@ -9,12 +9,13 @@ import (
 	"hitl/internal/telemetry"
 )
 
-// Execution is the one seam every front door runs through — the sync and
-// cluster-shard handlers, the job manager, and both CLIs. A door decodes
-// its request, normalizes and digests the spec once, and hands both to
-// Execute with the attachments the request asked for; Execute wires them
-// into the context, runs the spec, and builds the run report from the
-// run's own collector. Doors then only encode what comes back.
+// Execution is the one seam every front door runs through — the sync,
+// cluster-shard and cluster-run handlers, the job manager, and both CLIs.
+// A door decodes its request, normalizes and digests the spec once, and
+// hands both to Execute with the attachments the request asked for;
+// Execute wires them into the context, runs the spec, and builds the run
+// report from the run's own collector. Doors then only encode what comes
+// back.
 
 // Options are the per-run attachments a front door can ask for. The zero
 // value runs the spec bare: no faults, no traces, no spans, no report.
@@ -31,8 +32,15 @@ type Options struct {
 	// into Execution.Report.
 	Report bool
 	// Observe, when non-nil, receives each sweep step's or round's points
-	// as they complete (see RunObserved).
+	// as they complete (see Observer).
 	Observe Observer
+	// Dispatch, when non-nil, runs each round-free normalized spec in place
+	// of the local engine: the whole run, or one round of an episode, whose
+	// loop stays here. digest is Digest(norm). Faults and TraceSample
+	// attach to the local engine and so do not reach a dispatched run;
+	// Observe fires per episode round but not per sweep step of a
+	// dispatched spec.
+	Dispatch func(ctx context.Context, norm Spec, digest string) (*Result, error)
 }
 
 // Execution is what a run hands back to its front door.
@@ -105,21 +113,20 @@ func (ex *Execution) Finish() *report.RunReport {
 // Report, when asked for, still describes the failed run.
 func Execute(ctx context.Context, norm Spec, digest string, opts Options) (*Execution, error) {
 	ctx, ex := Attach(ctx, norm.Seed, opts)
-	res, err := run(ctx, norm, digest, opts.Observe)
+	res, err := run(ctx, norm, digest, opts)
 	ex.Result = res
 	if rep := ex.Finish(); rep != nil {
-		Describe(rep, norm, digest, res)
+		describe(rep, norm, digest, res)
 	}
 	return ex, err
 }
 
-// Describe fills a report's spec-level identity, which the engine
+// describe fills a report's spec-level identity, which the engine
 // collector cannot see: scenario, digest, seed and subject count, plus —
-// for a finished run — the scenario-level engine path (analytic runs
-// execute no engine run at all) and the episode's rounds. The cluster
-// coordinator, whose engine runs happen on its workers, describes an
-// otherwise empty report with it.
-func Describe(rep *report.RunReport, norm Spec, digest string, res *Result) {
+// for a finished run — the scenario-level engine path (analytic and
+// dispatched runs execute no local engine run at all) and the episode's
+// rounds.
+func describe(rep *report.RunReport, norm Spec, digest string, res *Result) {
 	rep.Scenario = norm.Scenario
 	rep.SpecDigest = digest
 	rep.Seed = norm.Seed

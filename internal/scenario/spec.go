@@ -313,14 +313,14 @@ func strideFor(sc Scenario, param string) int64 {
 	return DefaultSweepStride
 }
 
-// Observer receives sweep progress during RunObserved: after step `done`
-// of `total` completes (1-based), it is called with that step's freshly
-// labeled points. Steps report in order — the engine may parallelize
-// within a step, but steps themselves execute sequentially — so an
-// observer that appends points sees the exact final point order, at any
-// worker count. Non-sweep runs report a single step (done=total=1) with
-// every point. Observers run on the executing goroutine; a slow observer
-// slows the run.
+// Observer receives sweep progress during a run (Options.Observe): after
+// step `done` of `total` completes (1-based), it is called with that
+// step's freshly labeled points. Steps report in order — the engine may
+// parallelize within a step, but steps themselves execute sequentially —
+// so an observer that appends points sees the exact final point order, at
+// any worker count. Non-sweep runs report a single step (done=total=1)
+// with every point. Observers run on the executing goroutine; a slow
+// observer slows the run.
 type Observer func(done, total int, pts []Point)
 
 // Run normalizes and executes a spec through the registry. Without a sweep
@@ -330,18 +330,9 @@ type Observer func(done, total int, pts []Point)
 //
 // Cancellation via ctx aborts the underlying Monte Carlo work and returns
 // an error wrapping ctx.Err(). When ctx carries a telemetry.Tracer the
-// whole run executes under a "scenario" span.
+// whole run executes under a "scenario" span. Front doors, which have
+// already normalized and digested the spec, use Execute instead.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
-	return RunObserved(ctx, spec, nil)
-}
-
-// RunObserved is Run with a progress observer: obs (when non-nil) is
-// invoked after each sweep step with the points that step produced, so a
-// caller can stream results as they complete instead of waiting for the
-// whole sweep. A nil obs makes it exactly Run. Front doors, which have
-// already normalized and digested the spec, use Execute with
-// Options.Observe instead.
-func RunObserved(ctx context.Context, spec Spec, obs Observer) (*Result, error) {
 	norm, err := Normalize(spec)
 	if err != nil {
 		return nil, err
@@ -350,14 +341,19 @@ func RunObserved(ctx context.Context, spec Spec, obs Observer) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, norm, digest, obs)
+	return run(ctx, norm, digest, Options{})
 }
 
 // run executes a normalized spec whose canonical digest the caller has
-// already computed.
-func run(ctx context.Context, norm Spec, digest string, obs Observer) (*Result, error) {
+// already computed. Of opts it reads only Observe and Dispatch: an
+// episode runs each round through run again, and a round-free spec goes
+// to opts.Dispatch when set, to the local engine otherwise.
+func run(ctx context.Context, norm Spec, digest string, opts Options) (*Result, error) {
 	if norm.Rounds > 0 {
-		return runEpisode(ctx, norm, obs)
+		return runEpisode(ctx, norm, opts)
+	}
+	if opts.Dispatch != nil {
+		return opts.Dispatch(ctx, norm, digest)
 	}
 	sc, err := Get(norm.Scenario)
 	if err != nil {
@@ -400,8 +396,8 @@ func run(ctx context.Context, norm Spec, digest string, obs Observer) (*Result, 
 		res.Points = pts
 		res.EnginePath = path
 		span.SetAttr("engine", path)
-		if obs != nil {
-			obs(1, 1, pts)
+		if opts.Observe != nil {
+			opts.Observe(1, 1, pts)
 		}
 		return res, nil
 	}
@@ -434,8 +430,8 @@ func run(ctx context.Context, norm Spec, digest string, obs Observer) (*Result, 
 			p.Label = label
 			res.Points = append(res.Points, p)
 		}
-		if obs != nil {
-			obs(i+1, len(norm.Sweep.Values), res.Points[stepStart:])
+		if opts.Observe != nil {
+			opts.Observe(i+1, len(norm.Sweep.Values), res.Points[stepStart:])
 		}
 	}
 	return res, nil

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"hitl/internal/cluster"
-	"hitl/internal/report"
 	"hitl/internal/scenario"
 )
 
@@ -77,10 +76,13 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 // (default one per worker) and ?partial=1 lets the run complete with
 // missing-shard accounting when retries exhaust. The response is the
 // scenario response plus a "cluster" section with dispatch/retry/failover
-// accounting. A complete merged result is handed to the job manager under
-// the spec's canonical digest, so GET /v1/jobs/{digest}/result serves it
-// like any locally-computed result — unless a job already owns that
-// digest, whose body and ETag then stand.
+// accounting. The run goes through the execution seam with the
+// coordinator as its runner. A complete merged result and its report are
+// handed to the job manager under the spec's canonical digest, so GET
+// /v1/jobs/{digest}/result and /report serve them like any
+// locally-computed result — unless a job already owns that digest, whose
+// body, report and ETag then stand. A partial episode is refused as a 400
+// on "rounds".
 func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 	if s.coord == nil {
 		writeErr(w, http.StatusServiceUnavailable,
@@ -102,39 +104,25 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		opts.Shards = v
 	}
 
-	res, stats, err := s.coord.Run(r.Context(), norm, opts)
+	ex, stats, err := s.coord.Execute(r.Context(), norm, digest, opts, scenario.Options{Report: true})
 	if err != nil {
 		s.writeRunErr(w, r, err, http.StatusBadGateway)
 		return
 	}
-	resp := scenarioResponse(w, res)
+	resp := scenarioResponse(w, ex.Result)
 	resp["cluster"] = stats
 	if stats.Partial {
 		w.Header().Set("X-Cluster-Partial", "1")
 	} else {
 		// Partial results are never persisted — the store is for
 		// full-fidelity results only.
-		s.jobs.Adopt(digest, res)
+		s.jobs.Adopt(digest, ex.Result, *ex.Report)
 	}
 	// ?report=1 attaches a RunReport with the cluster section filled in.
 	// The engine phases ran on remote workers, so only the coordinator's
 	// view is populated.
 	if r.URL.Query().Get("report") == "1" {
-		rep := report.RunReport{
-			Version: report.ReportVersion,
-			Partial: stats.Partial,
-			Cluster: &report.ClusterReport{
-				Shards:     stats.Shards,
-				Dispatched: stats.Dispatched,
-				Retries:    stats.Retries,
-				Failovers:  stats.Failovers,
-				Nodes:      stats.Nodes,
-				Partial:    stats.Partial,
-				Missing:    stats.Missing,
-			},
-		}
-		scenario.Describe(&rep, norm, digest, res)
-		resp["report"] = rep
+		resp["report"] = ex.Report
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -272,6 +272,34 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterRunRefusesPartialEpisode asks the door for a partial episode:
+// it answers 400 naming the rounds field, and no shard is dispatched.
+func TestClusterRunRefusesPartialEpisode(t *testing.T) {
+	w1 := httptest.NewServer(New(quietConfig()))
+	defer w1.Close()
+	cfg := quietConfig()
+	cfg.Cluster = cluster.Config{Workers: []string{w1.URL}, ProbeInterval: -1}
+	srv := New(cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body, _ := exampleBody(t, "phishing-adaptive-campaign.json")
+	before := fetchMetric(t, ts.URL, "hitl_cluster_shards_dispatched_total")
+	resp := postJSON(t, ts.URL+"/v1/cluster/run?shards=2&partial=1", body)
+	var out struct {
+		Error string `json:"error"`
+		Field string `json:"field"`
+	}
+	decodeBody(t, resp, &out)
+	if resp.StatusCode != http.StatusBadRequest || out.Field != "rounds" {
+		t.Errorf("partial episode: %d %+v, want 400 on field rounds", resp.StatusCode, out)
+	}
+	if got := fetchMetric(t, ts.URL, "hitl_cluster_shards_dispatched_total"); got != before {
+		t.Errorf("refused episode dispatched shards: counter %v -> %v", before, got)
+	}
+}
+
 func TestClusterRunWithoutPool(t *testing.T) {
 	ts := newTestServer(t)
 	resp := postJSON(t, ts.URL+"/v1/cluster/run", shardSpecBody())

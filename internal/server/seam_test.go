@@ -130,6 +130,88 @@ func TestOneResultPerDigestAcrossDoors(t *testing.T) {
 	}
 }
 
+// TestClusterDigestServesItsReport sends one example spec through the
+// cluster door (two in-process workers) and the job door over a shared
+// store, in both orders. The door that computes the digest first fixes
+// its report as well as its result: a cluster-computed digest serves its
+// canonical report, live and from a fresh server on the same store, and
+// a job-computed digest keeps the job's report after a cluster run.
+func TestClusterDigestServesItsReport(t *testing.T) {
+	body, digest := exampleBody(t, "phishing-study.json")
+	reportURL := "/v1/jobs/" + digest + "/report"
+	for _, clusterFirst := range []bool{true, false} {
+		name := "jobs-first"
+		if clusterFirst {
+			name = "cluster-first"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w1 := httptest.NewServer(New(quietConfig()))
+			defer w1.Close()
+			w2 := httptest.NewServer(New(quietConfig()))
+			defer w2.Close()
+			cfg := quietConfig()
+			cfg.StoreDir = dir
+			cfg.Cluster = cluster.Config{Workers: []string{w1.URL, w2.URL}, ProbeInterval: -1}
+			srv := New(cfg)
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+
+			runCluster := func() {
+				resp := postJSON(t, ts.URL+"/v1/cluster/run?shards=2", body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("cluster run: %d", resp.StatusCode)
+				}
+			}
+			runJob := func() {
+				st, _, code := submitJob(t, ts.URL, body)
+				if code != http.StatusAccepted && code != http.StatusOK {
+					t.Fatalf("job submit: %d", code)
+				}
+				if done := awaitJob(t, ts.URL, st.ID); done.State != jobs.StateComplete {
+					t.Fatalf("job ended %s: %s", done.State, done.Error)
+				}
+			}
+			if clusterFirst {
+				runCluster()
+				runJob()
+			} else {
+				runJob()
+				runCluster()
+			}
+
+			code, raw, tag := getBody(t, ts.URL+reportURL)
+			if code != http.StatusOK || tag == "" {
+				t.Fatalf("report: %d, ETag %q: %s", code, tag, raw)
+			}
+			var rep report.RunReport
+			if err := json.Unmarshal(raw, &rep); err != nil {
+				t.Fatal(err)
+			}
+			if !clusterFirst {
+				if rep.EngineRuns == 0 || rep.Cluster != nil {
+					t.Errorf("the job's report was replaced: engine_runs %d, cluster %+v", rep.EngineRuns, rep.Cluster)
+				}
+				return
+			}
+			if rep.SpecDigest != digest || rep.JobID != digest || rep.Cluster == nil || rep.Cluster.Shards != 2 {
+				t.Errorf("cluster report: spec_digest %s, job_id %s, cluster %+v; want digest %s and 2 shards",
+					rep.SpecDigest, rep.JobID, rep.Cluster, digest)
+			}
+			restarted := quietConfig()
+			restarted.StoreDir = dir
+			fresh := httptest.NewServer(New(restarted))
+			defer fresh.Close()
+			code, stored, storedTag := getBody(t, fresh.URL+reportURL)
+			if code != http.StatusOK || !bytes.Equal(stored, raw) || storedTag != tag {
+				t.Errorf("after a restart the report changed: %d, ETag %s -> %s", code, tag, storedTag)
+			}
+		})
+	}
+}
+
 // doorBody is the part of a scenario result the sync body and the job
 // envelope share and that depends on the engine path.
 type doorBody struct {

@@ -5,10 +5,12 @@
 # cluster run that must match it bit for bit, then a SIGKILL'd worker and
 # a re-run that must fail over — still bit-identical — with the retries,
 # failovers, and health flips visible in /v1/metrics, /v1/cluster/nodes,
-# and the flight recorder. The merged result is also served back from the
-# persistent store under the spec's canonical digest. Diagnostic
-# artifacts (cluster responses, flight events) land in $STORE_DIR/smoke
-# for CI to archive. Needs curl and jq.
+# and the flight recorder. The merged result and its run report are also
+# served back from the persistent store under the spec's canonical digest.
+# An adaptive episode sharded across the pool must match its single-node
+# run round for round, count as one cluster run, and be refused (400) as
+# a partial run. Diagnostic artifacts (cluster responses, flight events)
+# land in $STORE_DIR/smoke for CI to archive. Needs curl and jq.
 #
 # HITL_STORE_DIR overrides the coordinator's store location (CI points it
 # at a workspace path and uploads it as an artifact).
@@ -19,6 +21,7 @@ STORE_DIR="${HITL_STORE_DIR:-$(mktemp -d)}"
 SCRATCH="$(mktemp -d)"
 BIN="$SCRATCH/hitl-serve"
 SPEC=examples/scenarios/phishing-study.json
+EPISODE=examples/scenarios/phishing-adaptive-campaign.json
 PIDS=()
 
 cleanup() {
@@ -98,6 +101,25 @@ echo "$DIGEST" | grep -Eq '^[0-9a-f]{64}$' || fail "bad spec digest: $DIGEST"
 echo "== merged result persisted under digest $DIGEST"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$COORD/v1/jobs/$DIGEST/result")
 [ "$CODE" = 200 ] || fail "stored cluster result: $CODE, want 200"
+curl -fsS "$COORD/v1/jobs/$DIGEST/report" >"$SCRATCH/report.json" || fail "no stored report for $DIGEST"
+[ "$(jq -r .cluster.shards "$SCRATCH/report.json")" = 6 ] ||
+  fail "stored report lacks the 6-shard cluster section: $(cat "$SCRATCH/report.json")"
+
+echo "== adaptive episode across 3 shards: one cluster run, round for round"
+curl -fsS -X POST --data-binary @"$EPISODE" "$COORD/v1/scenarios/run" |
+  jq -S '{points: .points, metrics: .metrics, rounds: .rounds}' >"$SCRATCH/episode-baseline.json"
+runs_total() { curl -fsS "$COORD/v1/metrics" | sed -n 's/^hitl_cluster_runs_total //p'; }
+RUNS_BEFORE=$(runs_total)
+curl -fsS -X POST --data-binary @"$EPISODE" "$COORD/v1/cluster/run?shards=3" >"$SCRATCH/episode.json"
+jq -S '{points: .points, metrics: .metrics, rounds: .rounds}' "$SCRATCH/episode.json" >"$SCRATCH/episode.cmp.json"
+cmp -s "$SCRATCH/episode-baseline.json" "$SCRATCH/episode.cmp.json" ||
+  fail "cluster episode is not bit-identical to the single-node episode"
+RUNS_MOVED=$(($(runs_total) - RUNS_BEFORE))
+[ "$RUNS_MOVED" = 1 ] || fail "one episode moved hitl_cluster_runs_total by $RUNS_MOVED, want 1"
+CODE=$(curl -s -o "$SCRATCH/episode-partial.json" -w '%{http_code}' -X POST --data-binary @"$EPISODE" \
+  "$COORD/v1/cluster/run?shards=3&partial=1")
+[ "$CODE" = 400 ] && [ "$(jq -r .field "$SCRATCH/episode-partial.json")" = rounds ] ||
+  fail "partial episode: $CODE $(cat "$SCRATCH/episode-partial.json"), want 400 on rounds"
 
 echo "== SIGKILL the busiest worker"
 VICTIM=$(jq -r '.cluster.nodes | to_entries | max_by(.value) | .key' "$SCRATCH/cluster1.json")
@@ -138,8 +160,10 @@ done
 # them.
 mkdir -p "$STORE_DIR/smoke"
 cp "$SCRATCH/cluster1.json" "$STORE_DIR/smoke/cluster-run-healthy.json"
+cp "$SCRATCH/report.json" "$STORE_DIR/smoke/cluster-run-report.json"
+cp "$SCRATCH/episode.json" "$STORE_DIR/smoke/cluster-run-episode.json"
 cp "$SCRATCH/cluster2.json" "$STORE_DIR/smoke/cluster-run-failover.json"
 cp "$SCRATCH/events.json" "$STORE_DIR/smoke/flight-events.json"
 cp "$SCRATCH/nodes.json" "$STORE_DIR/smoke/cluster-nodes.json"
 
-echo "cluster-smoke: OK (6 shards, $FAILOVERS failover(s) past a SIGKILL'd worker, bit-identical merges)"
+echo "cluster-smoke: OK (6 shards, $FAILOVERS failover(s) past a SIGKILL'd worker, bit-identical merges and episode)"
