@@ -260,52 +260,43 @@ func (c *Coordinator) NodeStates() map[string]string {
 	return out
 }
 
-// Run executes spec across the pool: slice into shard specs, place each
-// on the ring by its canonical digest, dispatch with bounded concurrency
-// and per-shard retry/failover, and merge the shard aggregates through
-// the deterministic merge. The merged result is bit-identical to a
-// single-node run of spec — regardless of pool size, shard count,
-// retries, or failovers — because every shard simulates its global
-// subject subrange under the engine's (seed, subject index) contract.
-// Run normalizes and digests spec for library callers; front doors, which
-// already have both, call Execute.
-func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, opts RunOptions) (*scenario.Result, RunStats, error) {
-	norm, err := scenario.Normalize(spec)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	digest, err := scenario.Digest(norm)
-	if err != nil {
-		return nil, RunStats{}, err
-	}
-	ex, stats, err := c.Execute(ctx, norm, digest, opts, scenario.Options{})
-	return ex.Result, stats, err
-}
-
 // Execute runs a normalized spec whose digest is Digest(norm) across the
-// pool, through scenario.Execute with the coordinator's sharded dispatch
-// as the runner: the seam keeps the sweep and episode loops and the
-// report, and each round-free spec it hands over — the whole run, or one
-// episode round — is sharded like a standalone run, so every merged round
-// is bit-identical to a single-node run of its RoundSpec. The returned
+// pool: slice into shard specs, place each on the ring by its canonical
+// digest, dispatch with bounded concurrency and per-shard retry/failover,
+// and merge the shard aggregates through the deterministic merge. The
+// merged result is bit-identical to a single-node run of norm —
+// regardless of pool size, shard count, retries, or failovers — because
+// every shard simulates its global subject subrange under the engine's
+// (seed, subject index) contract.
+//
+// The run goes through scenario.Execute with the sharded dispatch as
+// Options.Dispatch, but only the seam's episode loop and its report
+// assembly are shared: a round-free spec, sweep or not, goes whole to
+// runSharded, which slices it with ShardSpecs and merges the workers'
+// answers with MergeShardResults; an episode hands over one round at a
+// time, each sharded like a standalone run, so every merged round is
+// bit-identical to a single-node run of its RoundSpec. The returned
 // stats sum over rounds, the run counts once in hitl_cluster_runs_total,
-// and a report, when sopts asks for one, carries the cluster section.
+// and the run report carries the cluster section; its engine path is the
+// merged result's, since no engine runs here.
 //
 // Partial episodes are refused with a "rounds" SpecError before any shard
 // is dispatched: a round with missing shards would feed the adaptive
 // policy different aggregates and silently change every later round.
-func (c *Coordinator) Execute(ctx context.Context, norm scenario.Spec, digest string, opts RunOptions, sopts scenario.Options) (*scenario.Execution, RunStats, error) {
+func (c *Coordinator) Execute(ctx context.Context, norm scenario.Spec, digest string, opts RunOptions) (*scenario.Execution, RunStats, error) {
 	stats := RunStats{Rounds: norm.Rounds, Nodes: make(map[string]int)}
 	if norm.Rounds > 0 && opts.AllowPartial {
 		return &scenario.Execution{}, stats, &scenario.SpecError{Field: "rounds",
 			Err: errors.New("episodic runs cannot be partial (a short round would change every later round)")}
 	}
-	sopts.Dispatch = func(ctx context.Context, norm scenario.Spec, digest string) (*scenario.Result, error) {
-		res, rs, err := c.runSharded(ctx, norm, digest, opts)
-		stats.add(rs)
-		return res, err
-	}
-	ex, err := scenario.Execute(ctx, norm, digest, sopts)
+	ex, err := scenario.Execute(ctx, norm, digest, scenario.Options{
+		Report: true,
+		Dispatch: func(ctx context.Context, norm scenario.Spec, digest string) (*scenario.Result, error) {
+			res, rs, err := c.runSharded(ctx, norm, digest, opts)
+			stats.add(rs)
+			return res, err
+		},
+	})
 	if err == nil {
 		telemetry.RecordClusterRun(stats.Partial)
 	}

@@ -35,10 +35,10 @@ type Options struct {
 	// as they complete (see Observer).
 	Observe Observer
 	// Dispatch, when non-nil, runs each round-free normalized spec in place
-	// of the local engine: the whole run, or one round of an episode, whose
-	// loop stays here. digest is Digest(norm). Faults and TraceSample
-	// attach to the local engine and so do not reach a dispatched run;
-	// Observe fires per episode round but not per sweep step of a
+	// of the local engine: the whole run, sweep included, or one round of
+	// an episode, whose loop stays here. digest is Digest(norm). Faults and
+	// TraceSample attach to the local engine and so do not reach a
+	// dispatched run; Observe fires per episode round but never inside a
 	// dispatched spec.
 	Dispatch func(ctx context.Context, norm Spec, digest string) (*Result, error)
 }

@@ -104,7 +104,7 @@ func (s *Server) handleClusterRun(w http.ResponseWriter, r *http.Request) {
 		opts.Shards = v
 	}
 
-	ex, stats, err := s.coord.Execute(r.Context(), norm, digest, opts, scenario.Options{Report: true})
+	ex, stats, err := s.coord.Execute(r.Context(), norm, digest, opts)
 	if err != nil {
 		s.writeRunErr(w, r, err, http.StatusBadGateway)
 		return
