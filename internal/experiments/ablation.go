@@ -144,7 +144,8 @@ func E13ActivenessTradeoff(ctx context.Context, cfg Config) (*Output, error) {
 
 	run := func(noisyActive bool, seedOff int64) (severeHeed float64, fpSeen float64, err error) {
 		noisy := makeNoisy(noisyActive)
-		runner := sim.Runner{Seed: cfg.Seed + seedOff, N: n}
+		// Each subject records, in slot 0, the false alarms it noticed.
+		runner := sim.Runner{Seed: cfg.Seed + seedOff, N: n, Keys: []string{"fa"}}
 		res, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
 			r := agent.NewReceiver(pop.Sample(rng))
 			// 30 days of the noisy warning firing, mostly as false alarms;
@@ -168,7 +169,7 @@ func E13ActivenessTradeoff(ctx context.Context, cfg Config) (*Output, error) {
 				return sim.Outcome{}, err
 			}
 			out := sim.FromAgentResult(ar)
-			out.Values = map[string]float64{"fa": float64(r.FalseAlarms("phishing"))}
+			out.Obs.Set(0, float64(r.FalseAlarms("phishing")))
 			return out, nil
 		})
 		if err != nil {

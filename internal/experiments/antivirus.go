@@ -52,8 +52,21 @@ func E15AntivirusAutomation(ctx context.Context, cfg Config) (*Output, error) {
 	const autoQuality = 0.97
 
 	// Per-subject month with prompts: infections accumulate when the user
-	// mishandles a real detection.
-	runner := sim.Runner{Seed: cfg.Seed + 1, N: n}
+	// mishandles a real detection. Each subject records its infections and
+	// real detections and, if it had a real detection, whether it heeded
+	// the first and the last.
+	const (
+		obsInfections = iota
+		obsReal
+		obsFirst
+		obsLast
+	)
+	runner := sim.Runner{Seed: cfg.Seed + 1, N: n, Keys: []string{
+		obsInfections: "infections",
+		obsReal:       "real",
+		obsFirst:      "first",
+		obsLast:       "last",
+	}}
 	promptRes, err := runner.Run(ctx, func(rng *rand.Rand, i int) (sim.Outcome, error) {
 		r := agent.NewReceiver(pop.Sample(rng))
 		infections, real := 0, 0
@@ -90,18 +103,14 @@ func E15AntivirusAutomation(ctx context.Context, cfg Config) (*Output, error) {
 				lastHeeded = h
 			}
 		}
-		out := sim.Outcome{
-			Heeded: infections == 0,
-			Values: map[string]float64{
-				"infections": float64(infections),
-				"real":       float64(real),
-			},
-		}
+		out := sim.Outcome{Heeded: infections == 0}
+		out.Obs.Set(obsInfections, float64(infections))
+		out.Obs.Set(obsReal, float64(real))
 		if firstHeeded >= 0 {
-			out.Values["first"] = float64(firstHeeded)
+			out.Obs.Set(obsFirst, float64(firstHeeded))
 		}
 		if lastHeeded >= 0 {
-			out.Values["last"] = float64(lastHeeded)
+			out.Obs.Set(obsLast, float64(lastHeeded))
 		}
 		if !out.Heeded {
 			out.FailedStage = agent.StageMotivation

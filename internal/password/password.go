@@ -205,7 +205,7 @@ func (s Scenario) Run(ctx context.Context) (Metrics, error) {
 	if err := s.Validate(); err != nil {
 		return Metrics{}, err
 	}
-	res, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers}.Run(ctx, s.interpreted())
+	res, err := sim.Runner{Seed: s.Seed, N: s.N, Workers: s.Workers, Keys: portfolioKeys}.Run(ctx, s.interpreted())
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -236,7 +236,7 @@ func (s Scenario) Compile() (*sim.Program, error) {
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return &loweredReader{sp: sp} }}
-	prog, err := sim.NewLoopProgram(s.Population, s.subject(pool))
+	prog, err := sim.NewLoopProgram(s.Population, portfolioKeys, s.subject(pool))
 	if err != nil {
 		return nil, err
 	}
@@ -306,6 +306,24 @@ func (lr *loweredReader) read(rng *rand.Rand) (agent.Result, error) {
 	return lr.sp.Eval(rng, &lr.prof, &lr.reg), nil
 }
 
+// The observation slots each subject records, and portfolioKeys, their
+// names in the run's Result.Values; Run and Compile share them.
+const (
+	obsReuseFraction = iota
+	obsWroteDown
+	obsShared
+	obsResets
+	obsStrengthBits
+)
+
+var portfolioKeys = []string{
+	obsReuseFraction: "reuse_fraction",
+	obsWroteDown:     "wrote_down",
+	obsShared:        "shared",
+	obsResets:        "resets",
+	obsStrengthBits:  "strength_bits",
+}
+
 // subject is the scenario's subject loop, shared by Run and Compile: the
 // policy read through a policyReader from pool, then the portfolio game.
 func (s *Scenario) subject(pool *sync.Pool) sim.SubjectFunc {
@@ -341,17 +359,12 @@ func (s *Scenario) subject(pool *sync.Pool) sim.SubjectFunc {
 		// Stage 2: the memory/portfolio game over the simulated period.
 		u := simulatePortfolio(rng, &prof, s, intends)
 
-		out := sim.Outcome{
-			Heeded:      u.compliant,
-			FailedStage: agent.StageNone,
-			Values: map[string]float64{
-				"reuse_fraction": u.reuseFraction,
-				"wrote_down":     b2f(u.wroteDown),
-				"shared":         b2f(u.shared),
-				"resets":         u.resetsPerYear,
-				"strength_bits":  u.strengthBits,
-			},
-		}
+		out := sim.Outcome{Heeded: u.compliant, FailedStage: agent.StageNone}
+		out.Obs.Set(obsReuseFraction, u.reuseFraction)
+		out.Obs.Set(obsWroteDown, b2f(u.wroteDown))
+		out.Obs.Set(obsShared, b2f(u.shared))
+		out.Obs.Set(obsResets, u.resetsPerYear)
+		out.Obs.Set(obsStrengthBits, u.strengthBits)
 		if !u.compliant {
 			switch {
 			case !intends:

@@ -337,7 +337,7 @@ func (c Campaign) Run(ctx context.Context) (CampaignMetrics, error) {
 	if err := c.Validate(); err != nil {
 		return CampaignMetrics{}, err
 	}
-	res, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers}.Run(ctx, c.interpreted())
+	res, err := sim.Runner{Seed: c.Seed, N: c.N, Workers: c.Workers, Keys: campaignKeys}.Run(ctx, c.interpreted())
 	if err != nil {
 		return CampaignMetrics{}, err
 	}
@@ -381,7 +381,7 @@ func (c Campaign) Compile() (*sim.Program, error) {
 		return nil, err
 	}
 	pool := &sync.Pool{New: func() any { return &loweredReceiver{hazard: hazard, falseAlarm: falseAlarm} }}
-	prog, err := sim.NewLoopProgram(c.Population, c.subject(pool))
+	prog, err := sim.NewLoopProgram(c.Population, campaignKeys, c.subject(pool))
 	if err != nil {
 		return nil, err
 	}
@@ -455,6 +455,20 @@ func (lr *loweredReceiver) phishingState() (bool, float64) {
 	return lr.prof.AccurateMentalModel, 0
 }
 
+// The observation slots each campaign subject records, and campaignKeys,
+// their names in the run's Result.Values; Run and Compile share them.
+const (
+	obsPhishSeen = iota
+	obsPhishedCount
+	obsFalseAlarms
+)
+
+var campaignKeys = []string{
+	obsPhishSeen:    "phish_seen",
+	obsPhishedCount: "phished_count",
+	obsFalseAlarms:  "false_alarms",
+}
+
 // subject is the campaign's subject loop, shared by Run and Compile: each
 // subject handles Days of legitimate and phishing email, and every
 // encounter the warning fires on goes to a campaignReceiver from pool.
@@ -513,15 +527,10 @@ func (c *Campaign) subject(pool *sync.Pool) sim.SubjectFunc {
 				}
 			}
 		}
-		out := sim.Outcome{
-			Heeded:      !phished,
-			FailedStage: firstFailure,
-			Values: map[string]float64{
-				"phish_seen":    float64(phishSeen),
-				"phished_count": float64(phishedCount),
-				"false_alarms":  float64(falseAlarms),
-			},
-		}
+		out := sim.Outcome{Heeded: !phished, FailedStage: firstFailure}
+		out.Obs.Set(obsPhishSeen, float64(phishSeen))
+		out.Obs.Set(obsPhishedCount, float64(phishedCount))
+		out.Obs.Set(obsFalseAlarms, float64(falseAlarms))
 		if phished && firstFailure == agent.StageNone {
 			// Phished only via detector misses; attribute to delivery:
 			// the communication never arrived.

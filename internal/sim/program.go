@@ -54,6 +54,9 @@ type Program struct {
 	// subject loop (sampling Pop itself) over lowered encounters. It must
 	// be safe for concurrent use, like any SubjectFunc.
 	Loop SubjectFunc
+	// Keys names the observation slots Loop records, as Runner.Keys does
+	// for an interpreted run; RunProgram runs under them.
+	Keys []string
 	// Interpreted is the interpreted subject function the program
 	// reproduces, collecting the stage trace its outcomes carry, if any.
 	// SampleTraces replays sampled subjects on it; the compiled run never
@@ -79,17 +82,19 @@ func NewProgram(pop population.Spec, m *agent.Model, e agent.Encounter, trained 
 
 // NewLoopProgram wraps a scenario's subject loop over lowered encounters
 // as a compiled program over pop, refusing the populations NewProgram
-// refuses. The loop must consume each subject's stream exactly as the
-// scenario's interpreted SubjectFunc does; scenarios get that by running
-// one loop on both paths and changing only how an encounter is evaluated.
-func NewLoopProgram(pop population.Spec, loop SubjectFunc) (*Program, error) {
+// refuses. keys names the observation slots the loop records. The loop
+// must consume each subject's stream exactly as the scenario's
+// interpreted SubjectFunc does, and record the same slots; scenarios get
+// that by running one loop, under one key list, on both paths and
+// changing only how an encounter is evaluated.
+func NewLoopProgram(pop population.Spec, keys []string, loop SubjectFunc) (*Program, error) {
 	if loop == nil {
 		return nil, fmt.Errorf("sim: nil subject loop")
 	}
 	if err := checkPopulation(pop); err != nil {
 		return nil, err
 	}
-	return &Program{Pop: pop, Loop: loop}, nil
+	return &Program{Pop: pop, Loop: loop, Keys: keys}, nil
 }
 
 // checkPopulation validates a compiled program's population once, which
@@ -130,11 +135,12 @@ func (p *Program) subject() SubjectFunc {
 // offers nothing to a telemetry.Recorder (SampleTraces samples the run's
 // subjects by replay), and agent-level fault probes never fire, so
 // faulted runs keep using Run; the scenario layer's engine selection
-// enforces both.
+// enforces both. The run's observation keys are the program's.
 func (ru Runner) RunProgram(ctx context.Context, p *Program) (*Result, error) {
 	if p == nil || (p.Params == nil && p.Loop == nil) {
 		return nil, fmt.Errorf("sim: nil program")
 	}
+	ru.Keys = p.Keys
 	return ru.run(ctx, p.subject(), EngineCompiled)
 }
 

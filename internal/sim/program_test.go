@@ -109,12 +109,12 @@ func TestNewProgramRefusals(t *testing.T) {
 		t.Errorf("out-of-range ages: want ErrNotCompilable, got %v", err)
 	}
 	loop := func(*rand.Rand, int) (Outcome, error) { return Outcome{}, nil }
-	if _, err := NewLoopProgram(old, loop); !errors.Is(err, ErrNotCompilable) {
+	if _, err := NewLoopProgram(old, nil, loop); !errors.Is(err, ErrNotCompilable) {
 		t.Errorf("loop program, out-of-range ages: want ErrNotCompilable, got %v", err)
 	}
 
 	// A loop program has no closed form, even over a mean-field population.
-	prog, err := NewLoopProgram(pop.MeanField(), loop)
+	prog, err := NewLoopProgram(pop.MeanField(), nil, loop)
 	if err != nil {
 		t.Fatal(err)
 	}

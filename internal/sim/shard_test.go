@@ -11,13 +11,13 @@ import (
 )
 
 // valueFlip heeds like coinFlip but also records per-subject metric
-// observations, so merges must reproduce exact concatenation order.
+// observations, so merges must reproduce exact concatenation order. It
+// runs under valueFlipKeys.
 func valueFlip(p float64) SubjectFunc {
 	return func(rng *rand.Rand, i int) (Outcome, error) {
-		out := Outcome{Values: map[string]float64{
-			"score":   rng.Float64(),
-			"subject": float64(i),
-		}}
+		var out Outcome
+		out.Obs.Set(0, rng.Float64())
+		out.Obs.Set(1, float64(i))
 		if rng.Float64() < p {
 			out.Heeded = true
 			out.FailedStage = agent.StageNone
@@ -28,12 +28,14 @@ func valueFlip(p float64) SubjectFunc {
 	}
 }
 
+var valueFlipKeys = []string{"score", "subject"}
+
 func TestShardedRunMergesBitIdentical(t *testing.T) {
 	const n = 3000
 	for _, seed := range []int64{1, 99} {
 		for _, shards := range []int{2, 3, 7} {
 			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				full, err := Runner{Seed: seed, N: n, Workers: 4}.Run(context.Background(), valueFlip(0.4))
+				full, err := Runner{Seed: seed, N: n, Workers: 4, Keys: valueFlipKeys}.Run(context.Background(), valueFlip(0.4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -41,7 +43,7 @@ func TestShardedRunMergesBitIdentical(t *testing.T) {
 				for s := 0; s < shards; s++ {
 					lo, hi := s*n/shards, (s+1)*n/shards
 					ctx := WithSubjectOffset(context.Background(), lo)
-					part, err := Runner{Seed: seed, N: hi - lo, Workers: 3}.Run(ctx, valueFlip(0.4))
+					part, err := Runner{Seed: seed, N: hi - lo, Workers: 3, Keys: valueFlipKeys}.Run(ctx, valueFlip(0.4))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,12 +66,12 @@ func TestSubjectOffsetSelectsGlobalStreams(t *testing.T) {
 	// with their full-run random streams — checked via the recorded
 	// "subject" observations and the full run's "score" stream.
 	const n, off, m = 500, 200, 100
-	full, err := Runner{Seed: 7, N: n}.Run(context.Background(), valueFlip(0.5))
+	full, err := Runner{Seed: 7, N: n, Keys: valueFlipKeys}.Run(context.Background(), valueFlip(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := WithSubjectOffset(context.Background(), off)
-	shard, err := Runner{Seed: 7, N: m}.Run(ctx, valueFlip(0.5))
+	shard, err := Runner{Seed: 7, N: m, Keys: valueFlipKeys}.Run(ctx, valueFlip(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,14 +43,55 @@ type Outcome struct {
 	// Spoofed and HeuristicPath carry through the agent flags.
 	Spoofed       bool
 	HeuristicPath bool
-	// Values holds scenario-specific named metrics (e.g. "passwords_reused").
-	Values map[string]float64
+	// Obs holds scenario-specific observations (e.g. the passwords the
+	// subject reused), slot k naming Runner.Keys[k].
+	Obs Obs
 	// Trace is the subject's stage-by-stage pipeline trajectory, carried
 	// through from agent.Result so telemetry can sample it. Copying it is a
 	// slice-header copy: the checks were already allocated by the agent.
 	// Scenarios that synthesize outcomes from multiple encounters may leave
 	// it nil.
 	Trace []agent.Check
+}
+
+// NumSlots is how many observations an Outcome carries, and so how many
+// keys a Runner may name.
+const NumSlots = 5
+
+// badSlot marks an Obs asked to record a slot outside [0, NumSlots).
+const badSlot = 1 << 7
+
+// Obs is one subject's observations, in fixed slots: slot k records the
+// run's Keys[k], and a slot never Set is absent, not zero. The slots are
+// fields rather than an array because Go's register ABI passes no array
+// longer than one element in registers; with five floats and a one-byte
+// mask, an Outcome still passes between functions in registers.
+type Obs struct {
+	s0, s1, s2, s3, s4 float64
+	// mask has bit k set for each slot recorded, and badSlot for a slot
+	// outside [0, NumSlots).
+	mask uint8
+}
+
+// Set records v in slot k. A slot at or past len(Runner.Keys) fails the
+// run with an error.
+func (o *Obs) Set(k int, v float64) {
+	switch k {
+	case 0:
+		o.s0 = v
+	case 1:
+		o.s1 = v
+	case 2:
+		o.s2 = v
+	case 3:
+		o.s3 = v
+	case 4:
+		o.s4 = v
+	default:
+		o.mask |= badSlot
+		return
+	}
+	o.mask |= 1 << k
 }
 
 // FromAgentResult converts an agent pipeline result into an Outcome.
@@ -205,6 +247,11 @@ type Runner struct {
 	Seed int64
 	// N is the number of subjects.
 	N int
+	// Keys names the observation slots: slot k of each Outcome.Obs is an
+	// observation of Keys[k], and Result.Values collects it under that
+	// name. At most NumSlots keys, none named twice. A subject that
+	// records a slot at or past len(Keys) fails the run.
+	Keys []string
 	// Workers is the parallelism; 0 means GOMAXPROCS, and any request is
 	// clamped to GOMAXPROCS (see EffectiveWorkers) — extra goroutines
 	// cannot add parallelism, only scheduler overhead. Results are
@@ -261,14 +308,6 @@ func RunTagFromContext(ctx context.Context) string {
 	return tag
 }
 
-// valueObs is one named-metric observation tagged with its subject index,
-// so shard merging can restore the documented subject order of
-// Result.Values.
-type valueObs struct {
-	subject int
-	v       float64
-}
-
 // shard is one worker's partial aggregation. Workers fold each completed
 // subject into their own shard, so the post-run reduce only merges
 // len(workers) shards instead of walking an N-sized outcome slice.
@@ -279,13 +318,12 @@ type shard struct {
 	heuristic     int
 	stageFailures map[agent.Stage]int
 	errorClasses  map[gems.ErrorClass]int
-	values        map[string][]valueObs
 
 	err        error
 	errSubject int
 }
 
-func (sh *shard) add(subject int, o Outcome) {
+func (sh *shard) add(o *Outcome) {
 	sh.completed++
 	if o.Heeded {
 		sh.heedSuccesses++
@@ -305,35 +343,88 @@ func (sh *shard) add(subject int, o Outcome) {
 	if o.HeuristicPath {
 		sh.heuristic++
 	}
-	if len(o.Values) > 0 {
-		if sh.values == nil {
-			sh.values = make(map[string][]valueObs)
-		}
-		for k, v := range o.Values {
-			sh.values[k] = append(sh.values[k], valueObs{subject: subject, v: v})
+}
+
+// columns are a run's observations: per key, one column of N values
+// indexed by the local subject index (a shard run's subject i is global
+// subject offset+i), and per subject the mask of the slots it recorded.
+// Workers own disjoint subjects, so they write without a lock; the run's
+// wg.Wait orders every write before the merge.
+type columns struct {
+	vals    [][]float64
+	present []uint8
+}
+
+// newColumns allocates a run's columns for keys over n subjects, once per
+// run; nothing without keys.
+func newColumns(keys []string, n int) columns {
+	if len(keys) == 0 {
+		return columns{}
+	}
+	block := make([]float64, len(keys)*n)
+	c := columns{vals: make([][]float64, len(keys)), present: make([]uint8, n)}
+	for k := range c.vals {
+		c.vals[k] = block[k*n : (k+1)*n : (k+1)*n]
+	}
+	return c
+}
+
+// put writes the slots o recorded into subject i's row. The run has
+// checked o's mask against its keys, so no bit names a missing column.
+func (c columns) put(i int, o *Obs) {
+	c.present[i] = o.mask
+	v := [NumSlots]float64{o.s0, o.s1, o.s2, o.s3, o.s4}
+	for k, col := range c.vals {
+		if o.mask&(1<<k) != 0 {
+			col[i] = v[k]
 		}
 	}
 }
 
-// runSubject executes one subject under panic containment. A panic in the
-// scenario function — or in an injected fault — is recovered into a typed
-// *PanicError carrying the subject index and stack, so one poisoned
-// subject fails the run instead of crashing the process. The injector, if
-// any, runs Before ahead of the scenario (it may panic or sleep) and
-// Perturb on a successful outcome (it may rewrite it in place).
-// The deferred containPanic is a named function with pre-evaluated
-// arguments — not a closure — so the defer stays open-coded and
-// allocation-free on the per-subject hot path.
-func (ru Runner) runSubject(f SubjectFunc, inj Injector, rng *rand.Rand, i int) (out Outcome, err error) {
+// values returns each key's observations in subject order, the form of
+// Result.Values. A column every subject recorded is used as it is;
+// otherwise — a key some subject skipped, or a partial run — the column
+// is compacted in place to the subjects that recorded it. A key no
+// subject recorded stays absent.
+func (c columns) values(keys []string) map[string][]float64 {
+	out := make(map[string][]float64, len(keys))
+	for k, key := range keys {
+		col, bit, j := c.vals[k], uint8(1)<<k, 0
+		for i, m := range c.present {
+			if m&bit != 0 {
+				col[j] = col[i]
+				j++
+			}
+		}
+		if j > 0 {
+			out[key] = col[:j:j]
+		}
+	}
+	return out
+}
+
+// runSubject executes one subject under panic containment and stores its
+// outcome in *out. A panic in the scenario function — or in an injected
+// fault — is recovered into a typed *PanicError carrying the subject index
+// and stack, so one poisoned subject fails the run instead of crashing the
+// process. The injector, if any, runs Before ahead of the scenario (it may
+// panic or sleep) and Perturb on a successful outcome (it may rewrite it
+// in place). The deferred containPanic is a named function with
+// pre-evaluated arguments — not a closure — so the defer stays open-coded
+// and allocation-free on the per-subject hot path. The outcome leaves
+// through a pointer rather than a result: an Outcome is larger than the
+// compiler copies inline, so every value hand-off would cost a
+// runtime.duffcopy per subject.
+func runSubject(out *Outcome, f SubjectFunc, inj Injector, seed int64, rng *rand.Rand, i int) (err error) {
 	defer containPanic(i, &err)
 	if inj != nil {
-		inj.Before(ru.Seed, i)
+		inj.Before(seed, i)
 	}
-	out, err = f(rng, i)
+	*out, err = f(rng, i)
 	if err == nil && inj != nil {
-		out = inj.Perturb(ru.Seed, i, out)
+		*out = inj.Perturb(seed, i, *out)
 	}
-	return out, err
+	return err
 }
 
 // containPanic converts a recovered panic into a *PanicError through the
@@ -346,15 +437,16 @@ func containPanic(subject int, err *error) {
 	}
 }
 
-// aggregate merges the worker shards into a Result. completed is the total
-// subject count folded into the shards; for a finished run it equals ru.N.
-func (ru Runner) aggregate(shards []shard, completed int) *Result {
+// aggregate merges the worker shards and the run's observation columns
+// into a Result. completed is the total subject count folded into the
+// shards; for a finished run it equals ru.N.
+func (ru Runner) aggregate(shards []shard, obs columns, completed int) *Result {
 	res := &Result{
 		N:             ru.N,
 		Completed:     completed,
 		StageFailures: make(map[agent.Stage]int),
 		ErrorClasses:  make(map[gems.ErrorClass]int),
-		Values:        make(map[string][]float64),
+		Values:        obs.values(ru.Keys),
 	}
 	res.Heed.Trials = completed
 	for w := range shards {
@@ -368,46 +460,8 @@ func (ru Runner) aggregate(shards []shard, completed int) *Result {
 		for c, n := range sh.errorClasses {
 			res.ErrorClasses[c] += n
 		}
-		for k := range sh.values {
-			if _, ok := res.Values[k]; !ok {
-				res.Values[k] = mergeValues(shards, k)
-			}
-		}
 	}
 	return res
-}
-
-// mergeValues merges every shard's observations of key k into subject
-// order. A worker claims subject indexes from a rising counter, so each
-// shard's list is already in subject order, and each subject contributes
-// at most one observation per key (Values is a map): repeatedly taking
-// the lowest head restores the documented order exactly, without a sort.
-func mergeValues(shards []shard, k string) []float64 {
-	var lists [][]valueObs
-	total := 0
-	for w := range shards {
-		if obs := shards[w].values[k]; len(obs) > 0 {
-			lists = append(lists, obs)
-			total += len(obs)
-		}
-	}
-	xs := make([]float64, 0, total)
-	for len(lists) > 1 {
-		m := 0
-		for j := 1; j < len(lists); j++ {
-			if lists[j][0].subject < lists[m][0].subject {
-				m = j
-			}
-		}
-		xs = append(xs, lists[m][0].v)
-		if lists[m] = lists[m][1:]; len(lists[m]) == 0 {
-			lists = append(lists[:m], lists[m+1:]...)
-		}
-	}
-	for _, o := range lists[0] {
-		xs = append(xs, o.v)
-	}
-	return xs
 }
 
 // Run executes f for every subject and aggregates the outcomes.
@@ -458,6 +512,14 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 	if f == nil {
 		return nil, fmt.Errorf("sim: nil subject function")
 	}
+	if len(ru.Keys) > NumSlots {
+		return nil, fmt.Errorf("sim: %d observation keys, but an outcome has %d slots", len(ru.Keys), NumSlots)
+	}
+	for k, key := range ru.Keys {
+		if slices.Contains(ru.Keys[:k], key) {
+			return nil, fmt.Errorf("sim: observation key %q named twice", key)
+		}
+	}
 	workers := EffectiveWorkers(ru.Workers, ru.N)
 
 	spanCtx, span := telemetry.StartSpan(ctx, "run",
@@ -493,6 +555,10 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 	defer cancel()
 
 	shards := make([]shard, workers)
+	obs := newColumns(ru.Keys, ru.N)
+	// keyMask has a bit per named slot; an outcome recording any other
+	// slot fails the run.
+	keyMask := uint8(1)<<len(ru.Keys) - 1
 	var wg sync.WaitGroup
 	// Workers claim subject indices from a shared atomic counter — the
 	// cheapest work queue there is. Cancellation (caller's ctx or a fatal
@@ -524,11 +590,14 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 					wspan.End()
 				}()
 				sh := &shards[w]
-				// One reseedable generator per worker: Seed re-derives the
-				// exact stream SubjectRand would return for the subject,
-				// without allocating a fresh source per subject.
-				src := &rngSource{}
-				rng := rand.New(src)
+				// One reseedable generator per worker, from a pool shared
+				// across runs: Seed re-derives the exact stream SubjectRand
+				// would return for the subject, whatever the generator ran
+				// before, without allocating a source per subject or run.
+				st := subjectStreams.Get().(*subjectStream)
+				defer subjectStreams.Put(st)
+				// runSubject overwrites out whole for every subject.
+				var out Outcome
 				for {
 					if runCtx.Err() != nil {
 						return
@@ -540,15 +609,23 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 					// g is the subject's global index; it equals i except in
 					// shard runs, where the whole range shifts by the offset.
 					g := offset + i
-					src.Seed(splitmix64(ru.Seed, g))
-					out, err := ru.runSubject(f, inj, rng, g)
+					st.src.Seed(splitmix64(ru.Seed, g))
+					err := runSubject(&out, f, inj, ru.Seed, st.rng, g)
+					if err == nil && out.Obs.mask&^keyMask != 0 {
+						err = fmt.Errorf("recorded an observation slot outside the runner's %d keys", len(ru.Keys))
+					}
 					if err != nil {
 						sh.err = err
 						sh.errSubject = g
 						cancel() // fatal: stop the other workers promptly
 						return
 					}
-					sh.add(g, out)
+					sh.add(&out)
+					if out.Obs.mask != 0 {
+						// Rows are local: a shard run's columns hold its N
+						// subjects from row 0, whatever its offset.
+						obs.put(i, &out.Obs)
+					}
 					processed++
 					if rec != nil {
 						// Consider defers the Outcome->SubjectTrace conversion
@@ -621,7 +698,7 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 		span.SetAttr("outcome", "partial")
 		span.SetAttr("completed", strconv.Itoa(completed))
 		mergeStart := time.Now()
-		res := ru.aggregate(shards, completed)
+		res := ru.aggregate(shards, obs, completed)
 		phases.MergeSeconds = time.Since(mergeStart).Seconds()
 		recordRun(res, workers, time.Since(start))
 		if col != nil {
@@ -631,7 +708,7 @@ func (ru Runner) run(ctx context.Context, f SubjectFunc, path string) (*Result, 
 	}
 
 	mergeStart := time.Now()
-	res := ru.aggregate(shards, ru.N)
+	res := ru.aggregate(shards, obs, ru.N)
 	phases.MergeSeconds = time.Since(mergeStart).Seconds()
 	recordRun(res, workers, time.Since(start))
 	if col != nil {
@@ -824,16 +901,16 @@ func (r *Result) SortedStages() []agent.Stage {
 	return out
 }
 
-// replayStream is one reseedable subject stream for SampleTraces. It is
-// pooled: a traced run replays a few subjects per unit, and a fresh
-// ~5 KB source per unit would cost more than the replays.
-type replayStream struct {
+// subjectStream is one reseedable subject stream. Engine workers and
+// SampleTraces take them from a pool: a fresh ~5 KB source per worker per
+// run, or per traced unit, would cost more than a short run's subjects.
+type subjectStream struct {
 	src rngSource
 	rng *rand.Rand
 }
 
-var replayStreams = sync.Pool{New: func() any {
-	st := &replayStream{}
+var subjectStreams = sync.Pool{New: func() any {
+	st := &subjectStream{}
 	st.rng = rand.New(&st.src)
 	return st
 }}
@@ -858,11 +935,12 @@ func (ru Runner) SampleTraces(ctx context.Context, p *Program) error {
 	if p == nil || p.Interpreted == nil {
 		return fmt.Errorf("sim: program has no interpreted subject to replay")
 	}
-	st := replayStreams.Get().(*replayStream)
-	defer replayStreams.Put(st)
+	st := subjectStreams.Get().(*subjectStream)
+	defer subjectStreams.Put(st)
 	return rec.ConsiderRange(ru.Seed, SubjectOffsetFromContext(ctx), ru.N, func(g int) (telemetry.SubjectTrace, error) {
 		st.src.Seed(splitmix64(ru.Seed, g))
-		out, err := ru.runSubject(p.Interpreted, nil, st.rng, g)
+		var out Outcome
+		err := runSubject(&out, p.Interpreted, nil, ru.Seed, st.rng, g)
 		var pe *PanicError
 		switch {
 		case errors.As(err, &pe):

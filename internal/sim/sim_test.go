@@ -88,12 +88,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestValuesAggregation(t *testing.T) {
-	res, err := Runner{Seed: 3, N: 100}.Run(context.Background(), func(rng *rand.Rand, i int) (Outcome, error) {
-		return Outcome{
-			Heeded:      true,
-			FailedStage: agent.StageNone,
-			Values:      map[string]float64{"x": float64(i % 2)},
-		}, nil
+	res, err := Runner{Seed: 3, N: 100, Keys: []string{"x"}}.Run(context.Background(), func(rng *rand.Rand, i int) (Outcome, error) {
+		out := Outcome{Heeded: true, FailedStage: agent.StageNone}
+		out.Obs.Set(0, float64(i%2))
+		return out, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,12 +301,14 @@ func TestSortedStagesOrdered(t *testing.T) {
 
 // valuesScenario emits a per-subject metric so Values ordering is
 // observable: subject i records "idx" = i alongside a seeded coin flip,
-// and every third subject also records "sparse" = i, so shards merge
-// series with gaps.
+// and every third subject also records "sparse" = i, so the merge
+// compacts a column with gaps. It runs under valuesKeys.
 func valuesScenario(rng *rand.Rand, i int) (Outcome, error) {
-	out := Outcome{Values: map[string]float64{"idx": float64(i), "draw": rng.Float64()}}
+	var out Outcome
+	out.Obs.Set(0, float64(i))
+	out.Obs.Set(1, rng.Float64())
 	if i%3 == 0 {
-		out.Values["sparse"] = float64(i)
+		out.Obs.Set(2, float64(i))
 	}
 	if rng.Float64() < 0.5 {
 		out.Heeded = true
@@ -319,6 +319,8 @@ func valuesScenario(rng *rand.Rand, i int) (Outcome, error) {
 	return out, nil
 }
 
+var valuesKeys = []string{"idx", "draw", "sparse"}
+
 // TestResultBitIdenticalAcrossWorkers locks the sharded-aggregation
 // determinism contract: the full Result — including the subject order of
 // every Values series — is bit-for-bit identical for any worker count.
@@ -326,7 +328,7 @@ func TestResultBitIdenticalAcrossWorkers(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	results := make([]*Result, len(workerCounts))
 	for wi, workers := range workerCounts {
-		res, err := Runner{Seed: 1234, N: 600, Workers: workers}.Run(context.Background(), valuesScenario)
+		res, err := Runner{Seed: 1234, N: 600, Workers: workers, Keys: valuesKeys}.Run(context.Background(), valuesScenario)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,10 +404,11 @@ func TestRunAgentBitIdenticalAcrossWorkers(t *testing.T) {
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	params := []float64{0.2, 0.4, 0.6, 0.8}
 	sweep := func(sweepWorkers int) []SweepPoint {
-		points, err := Runner{Seed: 77, N: 800, Workers: 4, SweepWorkers: sweepWorkers}.
+		points, err := Runner{Seed: 77, N: 800, Workers: 4, SweepWorkers: sweepWorkers, Keys: []string{"idx"}}.
 			Sweep(context.Background(), params, func(p float64) SubjectFunc {
 				return func(rng *rand.Rand, i int) (Outcome, error) {
-					out := Outcome{Values: map[string]float64{"idx": float64(i)}}
+					var out Outcome
+					out.Obs.Set(0, float64(i))
 					if rng.Float64() < p {
 						out.Heeded = true
 						out.FailedStage = agent.StageNone
