@@ -85,9 +85,10 @@ scenarios-smoke:
 # interpreted and forced compiled — and fails unless the rendered outputs
 # are byte-identical (the compiled engine's external bit-identity
 # contract); it then samples 8 traces per spec forced interpreted and
-# under auto, and fails unless the trace files are byte-identical and auto
-# stayed off the interpreter. ENGINE_GOLDEN_DIR parks the comparison
-# files for CI to archive.
+# under auto, clean and faulted, and fails unless outputs, trace files and
+# fired fault counts are byte-identical and auto stayed off the
+# interpreter, and unless a panicked run still leaves its report.
+# ENGINE_GOLDEN_DIR parks the comparison files for CI to archive.
 engine-golden:
 	bash scripts/engine_golden.sh
 

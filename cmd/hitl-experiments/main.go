@@ -16,7 +16,8 @@
 // sensitivity checks; faulted output no longer matches EXPERIMENTS.md.
 // -report out.json writes a run report aggregated across every Monte Carlo
 // run of the suite: phase wall times, per-stage failure attribution, and
-// fired fault rules.
+// fired fault rules. A failed run still writes its report and -spans
+// before exiting 1.
 package main
 
 import (
@@ -71,22 +72,11 @@ func main() {
 	}
 	ctx, ex := scenario.Attach(ctx, *seed, opts)
 
-	cfg := experiments.Config{Seed: *seed, N: *n}
-	var outs []*experiments.Output
-	if *ids == "" {
-		all, err := experiments.RunAll(ctx, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		outs = all
-	} else {
-		for _, id := range strings.Split(*ids, ",") {
-			o, err := experiments.Run(ctx, strings.TrimSpace(id), cfg)
-			if err != nil {
-				fatal(err)
-			}
-			outs = append(outs, o)
-		}
+	outs, err := runExperiments(ctx, *ids, experiments.Config{Seed: *seed, N: *n})
+	if err != nil {
+		// A failed run still explains itself: keep its spans and report.
+		writeDiagnostics(ex, *seed, *spansOut, *reportOut)
+		fatal(err)
 	}
 	for _, o := range outs {
 		if err := o.WriteText(os.Stdout); err != nil {
@@ -101,14 +91,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hitl-experiments: wrote %d of %d subject traces to %s\n",
 			len(rec.Traces()), rec.Offered(), *traceOut)
 	}
+	writeDiagnostics(ex, *seed, *spansOut, *reportOut)
+}
+
+// runExperiments runs the whole suite, or the comma-separated ids in
+// order.
+func runExperiments(ctx context.Context, ids string, cfg experiments.Config) ([]*experiments.Output, error) {
+	if ids == "" {
+		return experiments.RunAll(ctx, cfg)
+	}
+	var outs []*experiments.Output
+	for _, id := range strings.Split(ids, ",") {
+		o, err := experiments.Run(ctx, strings.TrimSpace(id), cfg)
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, o)
+	}
+	return outs, nil
+}
+
+// writeDiagnostics writes the span tree and the run report, each when
+// asked for.
+func writeDiagnostics(ex *scenario.Execution, seed int64, spansOut, reportOut string) {
 	if ex.Tracer != nil {
-		if err := writeFile(*spansOut, ex.Tracer.WriteJSON); err != nil {
+		if err := writeFile(spansOut, ex.Tracer.WriteJSON); err != nil {
 			fatal(err)
 		}
 	}
 	if rep := ex.Finish(); rep != nil {
-		rep.Seed = *seed
-		if err := writeFile(*reportOut, rep.WriteJSON); err != nil {
+		rep.Seed = seed
+		if err := writeFile(reportOut, rep.WriteJSON); err != nil {
 			fatal(err)
 		}
 	}

@@ -34,7 +34,8 @@
 // canonical spec digest, worker counts, per-phase wall times, per-stage
 // failure attribution, and fired fault rules, all taken from this run's
 // own engine runs — after the run ("-" writes it to stderr, keeping stdout
-// diffable).
+// diffable). A failed run still writes its report and -spans before
+// exiting 1.
 package main
 
 import (
@@ -174,6 +175,8 @@ func main() {
 	}
 	ex, err := scenario.Execute(ctx, norm, digest, opts)
 	if err != nil {
+		// A failed run still explains itself: keep its report and spans.
+		writeDiagnostics(ex, *reportOut, *spansOut)
 		fatal(err)
 	}
 	must(ex.Result.Table().WriteText(os.Stdout))
@@ -181,20 +184,26 @@ func main() {
 	// (interpreted and compiled output is bit-identical by contract).
 	fmt.Fprintf(os.Stderr, "hitl-sim: engine path: %s\n", ex.Result.EnginePath)
 
-	if rep := ex.Report; rep != nil {
-		if *reportOut == "-" {
-			must(rep.WriteJSON(os.Stderr))
-		} else {
-			must(writeFile(*reportOut, rep.WriteJSON))
-		}
-	}
+	writeDiagnostics(ex, *reportOut, *spansOut)
 	if rec := ex.Recorder; rec != nil {
 		must(writeFile(*traceOut, rec.WriteJSONL))
 		fmt.Fprintf(os.Stderr, "hitl-sim: wrote %d of %d subject traces to %s\n",
 			len(rec.Traces()), rec.Offered(), *traceOut)
 	}
+}
+
+// writeDiagnostics writes the run report (to stderr for "-") and the span
+// tree, each when asked for.
+func writeDiagnostics(ex *scenario.Execution, reportOut, spansOut string) {
+	if rep := ex.Report; rep != nil {
+		if reportOut == "-" {
+			must(rep.WriteJSON(os.Stderr))
+		} else {
+			must(writeFile(reportOut, rep.WriteJSON))
+		}
+	}
 	if ex.Tracer != nil {
-		must(writeFile(*spansOut, ex.Tracer.WriteJSON))
+		must(writeFile(spansOut, ex.Tracer.WriteJSON))
 	}
 }
 

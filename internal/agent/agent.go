@@ -428,16 +428,10 @@ type Receiver struct {
 	Profile population.Profile
 	// Model is the coefficient set; nil means DefaultModel().
 	Model *Model
-	// Probe, when non-nil, observes every stage check the instant it is
-	// recorded — the probability sampled against, the outcome, and any
-	// routing note — before Process returns. It is the pipeline's
-	// instrumentation hook: telemetry and live debuggers attach here
-	// without changing how the pipeline samples. A nil Probe costs one
-	// predictable branch per stage.
-	Probe func(Check)
-	// CollectTrace makes Process materialize Result.Trace. Attaching a
-	// Probe implies collection. When both are false/nil, Process records
-	// no checks and the per-subject hot path stays allocation-free; the
+	// CollectTrace makes Process materialize Result.Trace: every stage
+	// check — the probability sampled against, the outcome, and any
+	// routing note — in pipeline order. When false, Process records no
+	// checks and the per-subject hot path stays allocation-free; the
 	// sampling sequence is identical either way.
 	CollectTrace bool
 
@@ -458,8 +452,8 @@ func NewReceiver(p population.Profile) *Receiver {
 
 // Reset clears the receiver's experience state and installs a new profile,
 // letting scenario loops reuse one receiver (and its map/trace storage)
-// across subjects instead of allocating with NewReceiver each time. Model,
-// Probe, and CollectTrace are left untouched.
+// across subjects instead of allocating with NewReceiver each time. Model
+// and CollectTrace are left untouched.
 func (r *Receiver) Reset(p population.Profile) {
 	r.Profile = p
 	clear(r.exposures)
@@ -744,16 +738,16 @@ func (r *Receiver) PCapable(e Encounter) float64 {
 
 // Process runs one encounter through the pipeline, mutating the receiver's
 // experience state (exposure counts, false alarms, skills) and returning
-// the outcome. Result.Trace is materialized only when CollectTrace is set
-// or a Probe is attached; the sampling sequence — and therefore every
-// other Result field — is identical either way.
+// the outcome. Result.Trace is materialized only when CollectTrace is
+// set; the sampling sequence — and therefore every other Result field —
+// is identical either way.
 func (r *Receiver) Process(rng *rand.Rand, e Encounter) (Result, error) {
 	if err := e.Validate(); err != nil {
 		return Result{}, err
 	}
 	(&e).withDefaults()
 
-	collect := r.CollectTrace || r.Probe != nil
+	collect := r.CollectTrace
 	if collect {
 		r.scratch = r.scratch[:0]
 	}
@@ -769,15 +763,11 @@ func (r *Receiver) Process(rng *rand.Rand, e Encounter) (Result, error) {
 		if noteSuf != "" {
 			note += noteSuf
 		}
-		c := Check{Stage: st, P: p, Passed: passed, Note: note}
-		r.scratch = append(r.scratch, c)
-		if r.Probe != nil {
-			r.Probe(c)
-		}
+		r.scratch = append(r.scratch, Check{Stage: st, P: p, Passed: passed, Note: note})
 	}
 	// finish copies the scratch buffer into Result.Trace: trace consumers
-	// (telemetry sketches, probes' callers) may hold the Result past the
-	// receiver's next Process call, so they must not alias the scratch.
+	// (telemetry sketches) may hold the Result past the receiver's next
+	// Process call, so they must not alias the scratch.
 	finish := func() (Result, error) {
 		if collect && len(r.scratch) > 0 {
 			res.Trace = append([]Check(nil), r.scratch...)

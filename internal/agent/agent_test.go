@@ -588,35 +588,63 @@ func TestTraceString(t *testing.T) {
 }
 
 func TestProbeObservesEveryCheck(t *testing.T) {
-	// The probe must see exactly the checks recorded in Result.Trace, in
-	// order, and attaching it must not change what the pipeline samples.
-	rng := rand.New(rand.NewSource(77))
-	plainRng := rand.New(rand.NewSource(77))
+	// Under CollectTrace, Result.Trace must hold every check the pipeline
+	// made, in pipeline order, ending at the check that decided the
+	// outcome — and collecting it must not change what the pipeline
+	// samples.
 	enc := warningEncounter(comms.FirefoxActiveWarning())
+	for seed := int64(0); seed < 200; seed++ {
+		want, err := NewReceiver(avgProfile()).Process(rand.New(rand.NewSource(seed)), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced := NewReceiver(avgProfile())
+		traced.CollectTrace = true
+		got, err := traced.Process(rand.New(rand.NewSource(seed)), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Trace) == 0 {
+			t.Fatalf("seed %d: CollectTrace recorded no checks", seed)
+		}
+		trace := got.Trace
+		got.Trace = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: trace collection changed the outcome: %+v vs %+v", seed, got, want)
+		}
 
-	plain := NewReceiver(avgProfile())
-	want, err := plain.Process(plainRng, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var probed []Check
-	probedReceiver := NewReceiver(avgProfile())
-	probedReceiver.Probe = func(c Check) { probed = append(probed, c) }
-	got, err := probedReceiver.Process(rng, enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got.Heeded != want.Heeded || got.FailedStage != want.FailedStage {
-		t.Fatalf("probe changed the outcome: %+v vs %+v", got, want)
-	}
-	if len(probed) != len(got.Trace) {
-		t.Fatalf("probe saw %d checks, trace has %d", len(probed), len(got.Trace))
-	}
-	for i := range probed {
-		if probed[i] != got.Trace[i] {
-			t.Errorf("check %d: probe saw %+v, trace has %+v", i, probed[i], got.Trace[i])
+		// The checked stages run through the pipeline without a gap, up
+		// to the decision; a heuristic decision jumps to behavior.
+		var stages []Stage
+		for _, c := range trace {
+			if len(stages) == 0 || stages[len(stages)-1] != c.Stage {
+				stages = append(stages, c.Stage)
+			}
+		}
+		walked := stages
+		if got.HeuristicPath {
+			walked = stages[:len(stages)-1]
+		}
+		if !reflect.DeepEqual(walked, Stages()[:len(walked)]) {
+			t.Fatalf("seed %d: checked stages %v skip or reorder the pipeline", seed, stages)
+		}
+		// Only the deciding check may fail, apart from the one failure a
+		// heuristic decision follows.
+		failed := 0
+		for _, c := range trace[:len(trace)-1] {
+			if !c.Passed {
+				failed++
+			}
+		}
+		if wantFailed := map[bool]int{false: 0, true: 1}[got.HeuristicPath]; failed != wantFailed {
+			t.Fatalf("seed %d: %d failed checks before the last (heuristic path %v): %+v", seed, failed, got.HeuristicPath, trace)
+		}
+		last, final := trace[len(trace)-1], got.FailedStage
+		if got.Heeded {
+			final = StageBehavior
+		}
+		if last.Passed != got.Heeded || last.Stage != final {
+			t.Fatalf("seed %d: outcome heeded=%v failed at %v, but the last check is %+v", seed, got.Heeded, got.FailedStage, last)
 		}
 	}
 }
@@ -624,38 +652,40 @@ func TestProbeObservesEveryCheck(t *testing.T) {
 func TestProbeObservesSpoofAndBehavior(t *testing.T) {
 	// The two checks recorded outside the common check() helper — the
 	// spoofed-delivery sentinel and the GEMS behavior attempt — must also
-	// reach the probe.
-	rng := rand.New(rand.NewSource(5))
+	// reach the trace.
 	r := NewReceiver(avgProfile())
-	var stages []Stage
-	r.Probe = func(c Check) { stages = append(stages, c.Stage) }
+	r.CollectTrace = true
 	enc := warningEncounter(comms.FirefoxActiveWarning())
 	enc.Interference = stimuli.Interference{Kind: stimuli.Spoof, Strength: 1}
-	if _, err := r.Process(rng, enc); err != nil {
+	res, err := r.Process(rand.New(rand.NewSource(5)), enc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stages) != 1 || stages[0] != StageDelivery {
-		t.Errorf("spoofed delivery probe saw %v, want [delivery]", stages)
+	if len(res.Trace) != 1 || res.Trace[0].Stage != StageDelivery {
+		t.Errorf("spoofed delivery trace %+v, want one delivery check", res.Trace)
 	}
 
 	// Drive a receiver until a behavior-stage check appears (a subject who
 	// reaches GEMS).
 	sawBehavior := false
 	for seed := int64(0); seed < 50 && !sawBehavior; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		r := NewReceiver(avgProfile())
-		r.Probe = func(c Check) { sawBehavior = sawBehavior || c.Stage == StageBehavior }
-		if _, err := r.Process(rng, warningEncounter(comms.FirefoxActiveWarning())); err != nil {
+		r.CollectTrace = true
+		res, err := r.Process(rand.New(rand.NewSource(seed)), warningEncounter(comms.FirefoxActiveWarning()))
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, c := range res.Trace {
+			sawBehavior = sawBehavior || c.Stage == StageBehavior
 		}
 	}
 	if !sawBehavior {
-		t.Error("no behavior-stage check reached the probe in 50 attempts")
+		t.Error("no behavior-stage check reached the trace in 50 attempts")
 	}
 }
 
 func TestTraceOffByDefault(t *testing.T) {
-	// Without CollectTrace or a Probe, Process must not materialize a
+	// Without CollectTrace, Process must not materialize a
 	// trace — and the sampling sequence must be identical to a traced run.
 	enc := warningEncounter(comms.FirefoxActiveWarning())
 

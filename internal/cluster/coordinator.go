@@ -382,9 +382,19 @@ func (c *Coordinator) runSharded(ctx context.Context, norm scenario.Spec, parent
 		if ctx.Err() != nil {
 			return nil, stats, ctx.Err()
 		}
-		first := errs[stats.Missing[0]]
+		// Report the lowest missing shard that failed on its own, not one
+		// the first failure's cancel() stopped; only when every missing
+		// shard was canceled does the lowest one stand for them.
+		failed := stats.Missing[0]
+		for _, i := range stats.Missing {
+			if !errors.Is(errs[i], context.Canceled) {
+				failed = i
+				break
+			}
+		}
+		first := errs[failed]
 		if !opts.AllowPartial {
-			return nil, stats, fmt.Errorf("cluster: shard %d failed: %w", stats.Missing[0], first)
+			return nil, stats, fmt.Errorf("cluster: shard %d failed: %w", failed, first)
 		}
 		if len(present) == 0 {
 			return nil, stats, fmt.Errorf("cluster: every shard failed: %w", first)

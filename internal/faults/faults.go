@@ -11,9 +11,7 @@
 //
 // Kinds:
 //
-//	panic    p=<prob> [stage=<stage>]  panic before the subject runs, or —
-//	                                   with stage= — at that stage check via
-//	                                   the agent.Receiver.Probe seam
+//	panic    p=<prob>                  panic before the subject runs
 //	fail     p=<prob> stage=<stage>    force the outcome to a failure at the
 //	                                   named pipeline stage
 //	corrupt  p=<prob>                  corrupted communication: the outcome
@@ -29,6 +27,12 @@
 // or the subject's own random stream. A faulted run is therefore
 // bit-identical at any worker count, and faults never perturb the random
 // draws of subjects they do not touch.
+//
+// Faults act on whole subjects — before a subject runs, or on the outcome
+// it returns — never inside the pipeline, so they apply alike to
+// interpreted and compiled subjects: a faulted run takes the compiled path
+// a clean run takes, with bit-identical results and fired counts. A
+// failure pinned to a C-HIP stage is a fail rule; a panic has no stage.
 //
 // A *Set implements sim.Injector; front doors attach it through
 // scenario.Options.Faults, which also reports its fired counts in the run
@@ -53,8 +57,7 @@ type Kind int
 
 // The supported fault kinds.
 const (
-	// KindPanic panics before the subject's scenario runs (no stage) or at
-	// a specific stage check via the Probe seam (stage set).
+	// KindPanic panics before the subject's scenario runs.
 	KindPanic Kind = iota
 	// KindFail forces the subject's outcome to a failure at a stage.
 	KindFail
@@ -91,8 +94,7 @@ type Rule struct {
 	Kind Kind
 	// P is the per-subject trigger probability in [0, 1].
 	P float64
-	// Stage is the target stage for KindFail, or the stage-check site for a
-	// stage-scoped KindPanic. Valid only when HasStage.
+	// Stage is the target stage for KindFail. Valid only when HasStage.
 	Stage agent.Stage
 	// HasStage reports whether Stage is set.
 	HasStage bool
@@ -248,6 +250,10 @@ func parseRule(raw string) (Rule, error) {
 		return rule, fmt.Errorf("missing required p=<probability>")
 	}
 	switch rule.Kind {
+	case KindPanic:
+		if rule.HasStage {
+			return rule, fmt.Errorf("panic takes no stage argument; to fail subjects at a stage, use fail:stage=<stage>")
+		}
 	case KindFail:
 		if !rule.HasStage {
 			return rule, fmt.Errorf("fail requires stage=<stage>")
@@ -286,9 +292,8 @@ func (s *Set) String() string {
 	return s.spec
 }
 
-// Before implements sim.Injector: latency rules sleep and stage-less panic
-// rules panic ahead of the subject's scenario function. Stage-scoped panic
-// rules are delivered through ProbeFor instead.
+// Before implements sim.Injector: latency rules sleep and panic rules
+// panic ahead of the subject's scenario function.
 func (s *Set) Before(runSeed int64, subject int) {
 	if s == nil {
 		return
@@ -302,7 +307,7 @@ func (s *Set) Before(runSeed int64, subject int) {
 				time.Sleep(r.Delay)
 			}
 		case KindPanic:
-			if !r.HasStage && r.fires(runSeed, subject) {
+			if r.fires(runSeed, subject) {
 				s.fired[i].Add(1)
 				panic(fmt.Sprintf("faults: injected panic (subject %d)", subject))
 			}
@@ -316,66 +321,38 @@ func (s *Set) Before(runSeed int64, subject int) {
 // injected failure) and clears the GEMS error class, which would otherwise
 // describe a behavior-stage event that no longer happened.
 func (s *Set) Perturb(runSeed int64, subject int, o sim.Outcome) sim.Outcome {
+	return s.rewrite(runSeed, subject, o, true)
+}
+
+// Replay implements sim.Injector: the rewrite Perturb applies, without
+// counting the rules it fires.
+func (s *Set) Replay(runSeed int64, subject int, o sim.Outcome) sim.Outcome {
+	return s.rewrite(runSeed, subject, o, false)
+}
+
+func (s *Set) rewrite(runSeed int64, subject int, o sim.Outcome, count bool) sim.Outcome {
 	if s == nil {
 		return o
 	}
 	for i := range s.rules {
 		r := &s.rules[i]
-		switch r.Kind {
-		case KindFail:
-			if r.fires(runSeed, subject) {
-				s.fired[i].Add(1)
-				o.Heeded = false
-				o.FailedStage = r.Stage
-				o.ErrorClass = gems.NoError
-				o.Trace = nil
-			}
-		case KindCorrupt:
-			if r.fires(runSeed, subject) {
-				s.fired[i].Add(1)
-				o.Heeded = false
-				o.FailedStage = agent.StageDelivery
-				o.Spoofed = true
-				o.ErrorClass = gems.NoError
-				o.Trace = nil
-			}
+		if (r.Kind != KindFail && r.Kind != KindCorrupt) || !r.fires(runSeed, subject) {
+			continue
+		}
+		if count {
+			s.fired[i].Add(1)
+		}
+		o.Heeded = false
+		o.ErrorClass = gems.NoError
+		o.Trace = nil
+		if r.Kind == KindFail {
+			o.FailedStage = r.Stage
+		} else {
+			o.FailedStage = agent.StageDelivery
+			o.Spoofed = true
 		}
 	}
 	return o
-}
-
-// ProbeFor returns a stage-check probe for one subject that panics the
-// instant a stage-scoped panic rule fires at its configured stage, and
-// otherwise forwards to next (which may be nil). It returns next unchanged
-// when no stage-scoped rule fires for the subject, so the common case adds
-// nothing to the pipeline. Attach the result to agent.Receiver.Probe to
-// rehearse pipeline crashes at an exact Figure 1 stage; the engine
-// contains the panic into a *sim.PanicError.
-func (s *Set) ProbeFor(runSeed int64, subject int, next func(agent.Check)) func(agent.Check) {
-	if s == nil {
-		return next
-	}
-	var armed []*Rule
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.Kind == KindPanic && r.HasStage && r.fires(runSeed, subject) {
-			s.fired[i].Add(1)
-			armed = append(armed, r)
-		}
-	}
-	if len(armed) == 0 {
-		return next
-	}
-	return func(c agent.Check) {
-		for _, r := range armed {
-			if c.Stage == r.Stage {
-				panic(fmt.Sprintf("faults: injected stage panic at %s (subject %d)", c.Stage, subject))
-			}
-		}
-		if next != nil {
-			next(c)
-		}
-	}
 }
 
 // describeRule renders one rule in the stable "kind p=… [stage=…]

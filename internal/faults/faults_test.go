@@ -28,10 +28,6 @@ func TestParseValidSpecs(t *testing.T) {
 		{"corrupt:p=0.5", []Rule{{Kind: KindCorrupt, P: 0.5}}},
 		{"panic:p=1", []Rule{{Kind: KindPanic, P: 1}}},
 		{
-			"panic:p=0.25,stage=comprehension",
-			[]Rule{{Kind: KindPanic, P: 0.25, Stage: agent.StageComprehension, HasStage: true}},
-		},
-		{
 			"fail:stage=attention-switch,p=0.1; latency:p=0.2,ms=1.5",
 			[]Rule{
 				{Kind: KindFail, P: 0.1, Stage: agent.StageAttentionSwitch, HasStage: true},
@@ -73,6 +69,7 @@ func TestParseErrors(t *testing.T) {
 		"corrupt:p=0.5,stage=delivery",      // corrupt takes only p
 		"panic:p",                           // malformed key=value
 		"panic:p=0.5,volume=11",             // unknown argument
+		"panic:p=0.25,stage=comprehension",  // panic takes no stage
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
@@ -172,9 +169,8 @@ func TestPerturbSemantics(t *testing.T) {
 	}
 }
 
-// agentScenario runs the real Figure 1 pipeline, optionally wiring the
-// fault set's stage-check probe into the receiver.
-func agentScenario(set *Set, runSeed int64) sim.SubjectFunc {
+// agentScenario runs the real Figure 1 pipeline.
+func agentScenario() sim.SubjectFunc {
 	pop := population.GeneralPublic()
 	enc := agent.Encounter{
 		Comm:          comms.FirefoxActiveWarning(),
@@ -182,12 +178,8 @@ func agentScenario(set *Set, runSeed int64) sim.SubjectFunc {
 		HazardPresent: true,
 		Task:          gems.LeaveSuspiciousSite(),
 	}
-	return func(rng *rand.Rand, i int) (sim.Outcome, error) {
-		r := agent.NewReceiver(pop.Sample(rng))
-		if set != nil {
-			r.Probe = set.ProbeFor(runSeed, i, nil)
-		}
-		ar, err := r.Process(rng, enc)
+	return func(rng *rand.Rand, _ int) (sim.Outcome, error) {
+		ar, err := agent.NewReceiver(pop.Sample(rng)).Process(rng, enc)
 		if err != nil {
 			return sim.Outcome{}, err
 		}
@@ -200,7 +192,7 @@ func TestFaultedRunBitIdenticalAcrossWorkers(t *testing.T) {
 	ctx := sim.WithInjector(context.Background(), set)
 	var base *sim.Result
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		res, err := sim.Runner{Seed: 20080124, N: 600, Workers: workers}.Run(ctx, agentScenario(nil, 20080124))
+		res, err := sim.Runner{Seed: 20080124, N: 600, Workers: workers}.Run(ctx, agentScenario())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +212,7 @@ func TestFaultedRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 
 	// The same spec under a different run seed perturbs different subjects.
-	other, err := sim.Runner{Seed: 77, N: 600}.Run(ctx, agentScenario(nil, 77))
+	other, err := sim.Runner{Seed: 77, N: 600}.Run(ctx, agentScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,43 +249,6 @@ func TestInjectedPanicSameSubjectAtAnyWorkerCount(t *testing.T) {
 	}
 }
 
-func TestStagePanicThroughProbeContained(t *testing.T) {
-	set := MustParse("panic:p=0.02,stage=comprehension")
-	runSeed := int64(31)
-	// The probe panics mid-pipeline inside Receiver.Process; the engine
-	// must contain it into a *sim.PanicError naming the subject.
-	_, err := sim.Runner{Seed: runSeed, N: 1500, Workers: 4}.Run(context.Background(), agentScenario(set, runSeed))
-	var pe *sim.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *sim.PanicError from stage probe", err)
-	}
-	if !strings.Contains(pe.Error(), "comprehension") {
-		t.Errorf("panic value does not name the stage: %q", pe.Error())
-	}
-	// Subjects the rule skips keep their probe chain: ProbeFor returns
-	// next unchanged.
-	calls := 0
-	next := func(agent.Check) { calls++ }
-	probe := set.ProbeFor(runSeed, pickUnfired(t, set, runSeed), next)
-	probe(agent.Check{Stage: agent.StageComprehension})
-	if calls != 1 {
-		t.Errorf("probe chain broken for unfired subject: next called %d times", calls)
-	}
-}
-
-// pickUnfired returns a subject index the set's single rule does not fire
-// on.
-func pickUnfired(t *testing.T, s *Set, runSeed int64) int {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		if !s.rules[0].fires(runSeed, i) {
-			return i
-		}
-	}
-	t.Fatal("no unfired subject in 1000")
-	return -1
-}
-
 func TestDescribeAndString(t *testing.T) {
 	s := MustParse("latency:p=0.5,ms=2;fail:stage=behavior,p=0.1")
 	if got := s.String(); got != "latency:p=0.5,ms=2;fail:stage=behavior,p=0.1" {
@@ -305,5 +260,28 @@ func TestDescribeAndString(t *testing.T) {
 	}
 	if (&Set{}).Describe() != "faults: none" {
 		t.Error("empty Describe")
+	}
+}
+
+// TestReplayRewritesWithoutCounting pins the trace-sampling seam: Replay
+// rewrites an outcome exactly as Perturb does, but a replayed subject is
+// one the run already counted, so it fires nothing.
+func TestReplayRewritesWithoutCounting(t *testing.T) {
+	s := MustParse("fail:stage=comprehension,p=0.3;corrupt:p=0.2")
+	for i := 0; i < 500; i++ {
+		o := sim.Outcome{Heeded: true, ErrorClass: gems.Slip}
+		if got, want := s.Replay(4, i, o), s.Perturb(4, i, o); !reflect.DeepEqual(got, want) {
+			t.Fatalf("subject %d: Replay = %+v, Perturb = %+v", i, got, want)
+		}
+	}
+	perturbed := s.Stats()
+	for i := 0; i < 500; i++ {
+		s.Replay(4, i, sim.Outcome{Heeded: true})
+	}
+	if got := s.Stats(); !reflect.DeepEqual(got, perturbed) {
+		t.Errorf("Replay moved fired counts: %+v -> %+v", perturbed, got)
+	}
+	if perturbed[0].Fired == 0 || perturbed[1].Fired == 0 {
+		t.Errorf("Perturb fired nothing over 500 subjects: %+v", perturbed)
 	}
 }

@@ -17,7 +17,7 @@ func TestStatsFiredCountsDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []RuleStat {
 		set := MustParse("fail:stage=comprehension,p=0.15;corrupt:p=0.05")
 		ctx := sim.WithInjector(context.Background(), set)
-		if _, err := (sim.Runner{Seed: 20080124, N: 400, Workers: workers}).Run(ctx, agentScenario(nil, 20080124)); err != nil {
+		if _, err := (sim.Runner{Seed: 20080124, N: 400, Workers: workers}).Run(ctx, agentScenario()); err != nil {
 			t.Fatal(err)
 		}
 		return set.Stats()

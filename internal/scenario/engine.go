@@ -20,14 +20,14 @@ import (
 type Engine string
 
 // The selectable engine paths. EngineAuto (the default, and what an empty
-// string means) picks analytic when the spec is eligible, compiled when
-// the scenario lowers, and the interpreter otherwise — results are
-// bit-identical between interpreted and compiled, so auto never changes
-// answers, only cost. Forcing EngineCompiled still falls back to the
-// interpreter silently when compilation refuses (the compiled path is an
-// optimization, not a different semantics); forcing EngineAnalytic is
-// strict and errors when no closed form exists, because the caller asked
-// for zero Monte Carlo work specifically.
+// string means) picks analytic when the spec is eligible and unfaulted,
+// compiled when the scenario lowers, and the interpreter otherwise —
+// results are bit-identical between interpreted and compiled, so auto
+// never changes answers, only cost. Forcing EngineCompiled still falls
+// back to the interpreter silently when compilation refuses (the compiled
+// path is an optimization, not a different semantics); forcing
+// EngineAnalytic is strict and errors when no closed form exists, because
+// the caller asked for zero Monte Carlo work specifically.
 const (
 	EngineAuto        Engine = "auto"
 	EngineInterpreted Engine = Engine(sim.EngineInterpreted)
@@ -105,14 +105,15 @@ type Compiler interface {
 // requests, returning the points and the path that actually produced them
 // (sim.EngineInterpreted, sim.EngineCompiled, or sim.EngineAnalytic).
 //
-// Fallback rules: shapes the compiler refuses, scenarios that don't
-// implement Compiler, and faulted runs (agent-level fault probes never
-// fire inside compiled subjects) run interpreted — silently under
-// EngineAuto and EngineCompiled, as an error under the strict
-// EngineAnalytic. A trace recorder does not choose the path: after a
-// compiled or analytic run, each unit's sampled subjects are replayed on
-// the interpreter (sim.Runner.SampleTraces), which yields the traces an
-// interpreted run would have sampled.
+// Fallback rules: shapes the compiler refuses and scenarios that don't
+// implement Compiler run interpreted — silently under EngineAuto and
+// EngineCompiled, as an error under the strict EngineAnalytic. Faults act
+// per subject, so a faulted run skips only the analytic shortcut and runs
+// compiled like a clean one; forced EngineAnalytic refuses it. A trace
+// recorder does not choose the path: after a compiled or analytic run,
+// each unit's sampled subjects are replayed on the interpreter
+// (sim.Runner.SampleTraces), which yields the traces an interpreted run
+// would have sampled.
 func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string, error) {
 	eng := EngineFromContext(ctx)
 	interpret := func() ([]Point, string, error) {
@@ -130,11 +131,9 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 		}
 		return interpret()
 	}
-	if sim.InjectorFromContext(ctx) != nil {
-		if eng == EngineAnalytic {
-			return nil, "", fmt.Errorf("scenario %s: the analytic engine cannot inject faults", sc.Name())
-		}
-		return interpret()
+	faulted := sim.InjectorFromContext(ctx) != nil
+	if faulted && eng == EngineAnalytic {
+		return nil, "", fmt.Errorf("scenario %s: the analytic engine cannot inject faults", sc.Name())
 	}
 
 	units, err := comp.Compile(inst)
@@ -148,7 +147,7 @@ func runEngine(ctx context.Context, sc Scenario, inst Instance) ([]Point, string
 		return nil, "", fmt.Errorf("scenario %s: compiling: %w", sc.Name(), err)
 	}
 
-	if eng == EngineAnalytic || eng == EngineAuto {
+	if eng == EngineAnalytic || (eng == EngineAuto && !faulted) {
 		pts, ok, err := runAnalytic(units, eng)
 		if err != nil {
 			return nil, "", err

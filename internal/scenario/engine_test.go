@@ -141,8 +141,8 @@ func TestAnalyticEngineZeroMonteCarlo(t *testing.T) {
 
 // TestEngineStrictAndFallbackRules pins the selection semantics around
 // refusals: forced analytic is strict, forced compiled falls back
-// silently, a trace recorder leaves auto compiled, and fault injection
-// forces the interpreter under auto.
+// silently, and neither a trace recorder nor fault injection moves auto
+// off the compiled path.
 func TestEngineStrictAndFallbackRules(t *testing.T) {
 	diverse := scenario.Spec{Scenario: "phishing-study", N: 200, Seed: 3}
 	ctx := scenario.WithEngine(context.Background(), scenario.EngineAnalytic)
@@ -173,14 +173,20 @@ func TestEngineStrictAndFallbackRules(t *testing.T) {
 	if len(traces) == 0 || !reflect.DeepEqual(traces, want) {
 		t.Errorf("auto traces differ from forced-interpreted traces\nauto:        %+v\ninterpreted: %+v", traces, want)
 	}
-	// The interpreter still answers what only it can: a refusing compiler
-	// and agent-level fault probes.
+	// The interpreter still answers what only it can: a refusing compiler.
 	if res, _, _ := tracedRun(t, context.Background(), refusing, 4); res.EnginePath != sim.EngineInterpreted {
 		t.Errorf("auto with a recorder on a non-compilable scenario ran %q, want interpreted", res.EnginePath)
 	}
+	// Faults act per subject on either path: a faulted traced run stays
+	// compiled and samples the forced-interpreted faulted run's traces.
 	fctx := sim.WithInjector(context.Background(), faults.MustParse("fail:stage=comprehension,p=0.2"))
-	if res, _, _ := tracedRun(t, fctx, study, 4); res.EnginePath != sim.EngineInterpreted {
-		t.Errorf("auto with a recorder and faults ran %q, want interpreted", res.EnginePath)
+	fres, ftraces, _ := tracedRun(t, fctx, study, 4)
+	if fres.EnginePath != sim.EngineCompiled {
+		t.Errorf("auto with a recorder and faults ran %q, want compiled", fres.EnginePath)
+	}
+	_, fwant, _ := tracedRun(t, scenario.WithEngine(fctx, scenario.EngineInterpreted), study, 4)
+	if len(ftraces) == 0 || !reflect.DeepEqual(ftraces, fwant) {
+		t.Errorf("faulted auto traces differ from forced-interpreted faulted traces\nauto:        %+v\ninterpreted: %+v", ftraces, fwant)
 	}
 
 	if _, err := scenario.ParseEngine("warp"); err == nil {

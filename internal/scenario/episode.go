@@ -14,11 +14,14 @@ import (
 
 // This file is the scenario layer's episode support: specs with a
 // "rounds" count (and optionally an "adapt" block naming an adaptive
-// policy) run as a deterministic multi-round game over the engine-level
-// sim.Episode loop. Every round is itself a complete, ordinary spec run:
-// RoundSpec materializes round r as a standalone Spec with its own
-// canonical digest, so a round can be cached, sharded across a cluster,
-// or re-run by hand — and is bit-identical in every case.
+// policy) run as a deterministic multi-round game between an adapting
+// attacker and the simulated population. Every round is itself a
+// complete, ordinary spec run: RoundSpec materializes round r as a
+// standalone Spec with its own canonical digest, so a round can be
+// cached, sharded across a cluster, or re-run by hand — and is
+// bit-identical in every case. The only state that crosses rounds is the
+// aggregates the policy sees, and rounds are sequential by construction:
+// round r+1's parameters depend on round r's aggregates.
 
 // AdaptSpec selects and configures an adaptive policy in a spec's
 // "adapt" block.
@@ -31,11 +34,12 @@ type AdaptSpec struct {
 }
 
 // PolicyFunc computes round r's scenario-parameter overrides from the
-// policy configuration and the previous rounds' aggregates. It must be a
-// pure function of its arguments (see sim.AdaptivePolicy): no ambient
-// randomness, no state outside the history — that purity is what makes an
-// R-round episode reproducible from its master seed and each round
-// reproducible standalone from its recorded round seed.
+// policy configuration and the previous rounds' aggregates (round 0 sees
+// an empty history). It must be a pure function of its arguments: no
+// ambient randomness (derive any on sim.RoundSeed), no state outside the
+// history — that purity is what makes an R-round episode reproducible
+// from its master seed and each round reproducible standalone from its
+// recorded round seed.
 type PolicyFunc func(cfg map[string]float64, round int, prev []sim.RoundAggregate) sim.RoundParams
 
 // Policy is a registered adaptive-attacker policy.
@@ -169,23 +173,6 @@ func RoundSpec(norm Spec, round int, overrides sim.RoundParams) (Spec, error) {
 	return out, nil
 }
 
-// episodePolicy compiles a normalized spec's adapt block into the
-// engine-level policy function; a nil adapt block yields a nil policy
-// (no adaptation: every round runs the base parameters).
-func episodePolicy(norm Spec) (sim.AdaptivePolicy, error) {
-	if norm.Adapt == nil {
-		return nil, nil
-	}
-	p, err := PolicyByName(norm.Adapt.Policy)
-	if err != nil {
-		return nil, &SpecError{Field: "adapt.policy", Err: err}
-	}
-	cfg := norm.Adapt.Params
-	return func(round int, prev []sim.RoundAggregate) sim.RoundParams {
-		return p.Fn(cfg, round, prev)
-	}, nil
-}
-
 // RoundSummary is one completed round in a Result: the engine-level
 // aggregate (round index, derived seed, applied overrides, headline
 // metrics) plus which engine path served it.
@@ -215,51 +202,67 @@ func LabelRound(round int, pts []Point) []Point {
 // that round's labeled points, so job streams surface per-round
 // aggregates as they land.
 func runEpisode(ctx context.Context, norm Spec, opts Options) (*Result, error) {
-	pol, err := episodePolicy(norm)
-	if err != nil {
-		return nil, err
+	var policy PolicyFunc
+	if norm.Adapt != nil {
+		p, err := PolicyByName(norm.Adapt.Policy)
+		if err != nil {
+			return nil, &SpecError{Field: "adapt.policy", Err: err}
+		}
+		policy = p.Fn
 	}
-	spanCtx, span := telemetry.StartSpan(ctx, "episode",
+	ctx, span := telemetry.StartSpan(ctx, "episode",
 		telemetry.String("name", norm.Scenario))
 	defer span.End()
 
-	res := &Result{Scenario: norm.Scenario, Spec: norm}
-	ep := sim.Episode{
-		Seed:   norm.Seed,
-		Rounds: norm.Rounds,
-		Policy: pol,
-		Run: func(ctx context.Context, round int, seed int64, params sim.RoundParams) (sim.RoundAggregate, error) {
-			rspec, err := RoundSpec(norm, round, params)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			rdigest, err := Digest(rspec)
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			rres, err := run(ctx, rspec, rdigest, Options{Dispatch: opts.Dispatch})
-			if err != nil {
-				return sim.RoundAggregate{}, err
-			}
-			// The policy (and reports) see the round's flattened metrics.
-			sum := RoundSummary{
-				RoundAggregate: sim.RoundAggregate{Round: round, Seed: seed, Params: params, Values: rres.Metrics()},
-				EnginePath:     rres.EnginePath,
-			}
-			res.EnginePath = foldEnginePath(res.EnginePath, rres.EnginePath)
-			res.Rounds = append(res.Rounds, sum)
-			pts := LabelRound(round, rres.Points)
-			res.Points = append(res.Points, pts...)
-			if opts.Observe != nil {
-				opts.Observe(round+1, norm.Rounds, pts)
-			}
-			return sum.RoundAggregate, nil
-		},
-	}
-	if _, err := ep.Play(spanCtx); err != nil {
+	fail := func(err error) (*Result, error) {
 		span.SetAttr("error", err.Error())
 		return nil, fmt.Errorf("scenario %s: %w", norm.Scenario, err)
 	}
+
+	res := &Result{Scenario: norm.Scenario, Spec: norm}
+	history := make([]sim.RoundAggregate, 0, norm.Rounds)
+	for round := range norm.Rounds {
+		if err := ctx.Err(); err != nil {
+			return fail(err)
+		}
+		var params sim.RoundParams
+		if policy != nil {
+			params = policy(norm.Adapt.Params, round, history)
+		}
+		if err := runRound(ctx, norm, round, params, opts, res); err != nil {
+			return fail(fmt.Errorf("sim: episode round %d: %w", round, err))
+		}
+		history = append(history, res.Rounds[round].RoundAggregate)
+	}
 	span.SetAttr("engine", res.EnginePath)
 	return res, nil
+}
+
+// runRound runs round r of an episode under the policy's overrides and
+// appends its summary and labeled points to res.
+func runRound(ctx context.Context, norm Spec, round int, params sim.RoundParams, opts Options, res *Result) error {
+	rspec, err := RoundSpec(norm, round, params)
+	if err != nil {
+		return err
+	}
+	rdigest, err := Digest(rspec)
+	if err != nil {
+		return err
+	}
+	rres, err := run(ctx, rspec, rdigest, Options{Dispatch: opts.Dispatch})
+	if err != nil {
+		return err
+	}
+	// The policy (and reports) see the round's flattened metrics.
+	res.Rounds = append(res.Rounds, RoundSummary{
+		RoundAggregate: sim.RoundAggregate{Round: round, Seed: rspec.Seed, Params: params, Values: rres.Metrics()},
+		EnginePath:     rres.EnginePath,
+	})
+	res.EnginePath = foldEnginePath(res.EnginePath, rres.EnginePath)
+	pts := LabelRound(round, rres.Points)
+	res.Points = append(res.Points, pts...)
+	if opts.Observe != nil {
+		opts.Observe(round+1, norm.Rounds, pts)
+	}
+	return nil
 }

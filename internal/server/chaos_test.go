@@ -47,7 +47,7 @@ func TestChaosSoak(t *testing.T) {
 		"?faults=fail:stage=comprehension,p=0.3",
 		"?faults=corrupt:p=0.2",
 		"?faults=panic:p=0.02",
-		"?faults=panic:p=0.05,stage=behavior",
+		"?faults=panic:p=0.05%3Bfail:stage=behavior,p=0.3",
 		"?faults=latency:p=0.5,ms=30;fail:stage=delivery,p=0.1",
 	}
 	allowed := map[int]bool{

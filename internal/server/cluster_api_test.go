@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -314,5 +315,96 @@ func TestClusterRunWithoutPool(t *testing.T) {
 	nodes.Body.Close()
 	if nodes.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("cluster nodes without pool: %d, want 503", nodes.StatusCode)
+	}
+}
+
+// fakeWorker serves the shard endpoint with shard, after reading the
+// request body — Go's server notices a client that went away, and cancels
+// the handler's context, only once the body is consumed — and answers
+// every other path (health probes) 200.
+func fakeWorker(t *testing.T, shard func(w http.ResponseWriter, r *http.Request, spec scenario.Spec)) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != cluster.ShardPath {
+			return
+		}
+		var spec scenario.Spec
+		raw, err := io.ReadAll(r.Body)
+		if err == nil {
+			err = json.Unmarshal(raw, &spec)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		shard(w, r, spec)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// clusterRunErr posts spec to a coordinator over workers configured by
+// cfg and returns the status and error body.
+func clusterRunErr(t *testing.T, cfg cluster.Config, query string) (int, string) {
+	t.Helper()
+	scfg := quietConfig()
+	scfg.Cluster = cfg
+	srv := New(scfg)
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	resp := postJSON(t, ts.URL+"/v1/cluster/run"+query, map[string]any{
+		"scenario": "phishing-study", "n": 80, "seed": 9,
+	})
+	var out struct {
+		Error string `json:"error"`
+	}
+	decodeBody(t, resp, &out)
+	return resp.StatusCode, out.Error
+}
+
+// TestClusterRunNamesExhaustedShard fails shard 1 on its retry budget
+// while shard 0 hangs until its request ends: the run must answer 502
+// naming shard 1, the root cause, not shard 0, which the failure's own
+// fail-fast cancel stopped — and not 499, since the client never left.
+func TestClusterRunNamesExhaustedShard(t *testing.T) {
+	shard := func(w http.ResponseWriter, r *http.Request, spec scenario.Spec) {
+		if spec.Offset == 0 {
+			<-r.Context().Done()
+			return
+		}
+		w.Header().Set("Retry-After", "0")
+		http.Error(w, "server overloaded", http.StatusTooManyRequests)
+	}
+	w1, w2 := fakeWorker(t, shard), fakeWorker(t, shard)
+	status, msg := clusterRunErr(t, cluster.Config{
+		Workers:       []string{w1.URL, w2.URL},
+		ProbeInterval: -1,
+		BaseBackoff:   time.Millisecond,
+		MaxBackoff:    5 * time.Millisecond,
+	}, "?shards=2")
+	if status != http.StatusBadGateway || !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "retry budget exhausted") {
+		t.Errorf("cluster run = %d %q, want 502 naming shard 1's exhausted retry budget", status, msg)
+	}
+}
+
+// TestClusterRunShardTimeoutIsBadGateway runs against a worker slower than
+// the shard timeout: every attempt hits its own deadline, and the run
+// must answer 502, not 499 — the deadline was the coordinator's, not the
+// client's.
+func TestClusterRunShardTimeoutIsBadGateway(t *testing.T) {
+	slow := fakeWorker(t, func(w http.ResponseWriter, r *http.Request, _ scenario.Spec) {
+		<-r.Context().Done()
+	})
+	status, msg := clusterRunErr(t, cluster.Config{
+		Workers:       []string{slow.URL},
+		ProbeInterval: -1,
+		ShardTimeout:  20 * time.Millisecond,
+		MaxAttempts:   2,
+		BaseBackoff:   time.Millisecond,
+		MaxBackoff:    5 * time.Millisecond,
+	}, "")
+	if status != http.StatusBadGateway || !strings.Contains(msg, "retry budget exhausted") {
+		t.Errorf("cluster run = %d %q, want 502 on an exhausted retry budget", status, msg)
 	}
 }

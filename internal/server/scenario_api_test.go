@@ -256,6 +256,43 @@ func TestScenarioRunFaultsBypassCache(t *testing.T) {
 	}
 }
 
+// TestFaultedRunsRideTheCompiledPath pins the fault grammar and the engine
+// path on every door that takes ?faults=: a panic pinned to a stage is a
+// 400 pointing at fail:stage=, and a faulted run skips only the closed
+// form — a mean-field spec answers compiled, not analytic or interpreted.
+func TestFaultedRunsRideTheCompiledPath(t *testing.T) {
+	_, ts := scenarioServer(t, Config{AllowFaults: true})
+	spec := map[string]any{"scenario": "phishing-study", "population": "general-public-mean", "seed": 5, "n": 100}
+	for _, door := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/scenarios/run", spec},
+		{"/v1/jobs", spec},
+		{"/v1/cluster/shard", spec},
+		{"/v1/experiments/run", map[string]any{"id": "E1", "n": 60}},
+	} {
+		resp := postJSON(t, ts.URL+door.path+"?faults=panic:p=0.5,stage=behavior", door.body)
+		var out struct {
+			Error string `json:"error"`
+		}
+		decodeBody(t, resp, &out)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "fail:stage=") {
+			t.Errorf("%s with a staged panic: %d %q, want 400 pointing at fail:stage=", door.path, resp.StatusCode, out.Error)
+		}
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/scenarios/run?faults=fail:stage=behavior,p=0.3", spec)
+	var body struct {
+		Engine string `json:"engine"`
+	}
+	decodeBody(t, resp, &body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Engine") != "compiled" || body.Engine != "compiled" {
+		t.Errorf("faulted mean-field run: %d X-Engine %q engine %q, want 200 and compiled",
+			resp.StatusCode, resp.Header.Get("X-Engine"), body.Engine)
+	}
+}
+
 func TestScenarioRunDegraded(t *testing.T) {
 	srv, ts := scenarioServer(t, Config{DegradedMaxSubjects: 40})
 	srv.overload.shed() // force degraded mode

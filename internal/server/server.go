@@ -493,7 +493,10 @@ func (s *Server) clampDegraded(w http.ResponseWriter, n int) (int, bool) {
 // the field's JSON path, the server's own compute deadline 503 (a capacity
 // signal), a client that went away 499, and anything else the door's own
 // failure status — 500 for a local run, 502 when a cluster's workers
-// failed it, 404 for an unknown experiment.
+// failed it, 404 for an unknown experiment. Only the request's own
+// context decides 499: a run that failed on a canceled or timed-out
+// context of its own making (a shard attempt's deadline, a sibling
+// stopped by a failure) is a failure of the run, not of the client.
 func (s *Server) writeRunErr(w http.ResponseWriter, r *http.Request, err error, status int) {
 	switch {
 	case writeSpecErr(w, err):
@@ -501,7 +504,7 @@ func (s *Server) writeRunErr(w http.ResponseWriter, r *http.Request, err error, 
 		s.overload.deadlineExpired.Add(1)
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("compute deadline (%s) exceeded: %w", s.cfg.ComputeTimeout, err))
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case r.Context().Err() != nil:
 		writeErr(w, statusClientClosedRequest, err)
 	default:
 		writeErr(w, status, err)

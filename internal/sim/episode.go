@@ -1,17 +1,10 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-)
-
-// This file is the engine-level episode loop: a deterministic multi-round
-// game between an adapting attacker and the simulated population. Each
-// round is one ordinary engine run — bit-identical at any worker count,
-// shardable within the round through the WithSubjectOffset/MergeResults
-// contract — and the only state that crosses rounds is the aggregate
-// summaries the policy sees. Rounds are sequential by construction: round
-// r+1's parameters depend on round r's aggregates.
+// Episode bookkeeping shared by the scenario layer's multi-round loop and
+// the reports that describe it. Each round is one ordinary engine run —
+// bit-identical at any worker count, shardable within the round through
+// the WithSubjectOffset/MergeResults contract — and the only state that
+// crosses rounds is the aggregate summaries an adaptive policy sees.
 
 // RoundParams is the attacker-controlled parameter overrides for one
 // round, keyed by scenario parameter name.
@@ -29,68 +22,10 @@ type RoundAggregate struct {
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
-// AdaptivePolicy produces round r's parameter overrides from the history
-// of rounds 0..r-1. It MUST be a pure function of its arguments: the
-// round index and the previous rounds' aggregates (round 0 sees an empty
-// history). Any randomness must come from deriving on RoundSeed — never
-// from ambient state — so that an episode is deterministic from its
-// master seed and any round can be reproduced standalone.
-type AdaptivePolicy func(round int, prev []RoundAggregate) RoundParams
-
 // RoundSeed derives round r's engine seed from the episode's master seed.
 // The stride constant is disjoint from the sweep-point stride (1_000_003)
 // and the scenario-layer strides, so episode rounds never collide with
 // sweep points of the same master seed.
 func RoundSeed(seed int64, round int) int64 {
 	return splitmix64(seed, 2_000_003+round)
-}
-
-// RoundRunner executes one round as a normal engine run: it receives the
-// round index, the round seed, and the policy's overrides, and returns
-// the aggregate the policy (and the episode's caller) sees. The runner
-// owns engine choice, sharding, and result collection; Episode only owns
-// the loop and the determinism bookkeeping.
-type RoundRunner func(ctx context.Context, round int, seed int64, params RoundParams) (RoundAggregate, error)
-
-// Episode is a deterministic R-round adaptive run.
-type Episode struct {
-	// Seed is the master seed; round r runs under RoundSeed(Seed, r).
-	Seed int64
-	// Rounds is the round count R (must be >= 1).
-	Rounds int
-	// Policy produces each round's parameter overrides; nil means no
-	// adaptation (every round runs the base parameters).
-	Policy AdaptivePolicy
-	// Run executes one round.
-	Run RoundRunner
-}
-
-// Play runs the episode's rounds sequentially and returns every round's
-// aggregate in order.
-func (e Episode) Play(ctx context.Context) ([]RoundAggregate, error) {
-	if e.Rounds < 1 {
-		return nil, fmt.Errorf("sim: episode needs at least 1 round, got %d", e.Rounds)
-	}
-	if e.Run == nil {
-		return nil, fmt.Errorf("sim: episode has no round runner")
-	}
-	history := make([]RoundAggregate, 0, e.Rounds)
-	for r := 0; r < e.Rounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return history, err
-		}
-		var params RoundParams
-		if e.Policy != nil {
-			params = e.Policy(r, history)
-		}
-		agg, err := e.Run(ctx, r, RoundSeed(e.Seed, r), params)
-		if err != nil {
-			return history, fmt.Errorf("sim: episode round %d: %w", r, err)
-		}
-		agg.Round = r
-		agg.Seed = RoundSeed(e.Seed, r)
-		agg.Params = params
-		history = append(history, agg)
-	}
-	return history, nil
 }

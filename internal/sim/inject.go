@@ -7,17 +7,20 @@ import (
 
 // Injector perturbs subject execution for fault-injection rehearsals. The
 // engine calls Before just before a subject's scenario function runs and
-// Perturb on the outcome of every subject that returned without error.
-// Implementations must be deterministic in (runSeed, subject) — never in
-// arrival order, worker identity, or wall clock — so a faulted run stays
-// bit-identical at any worker count, matching the engine's determinism
+// Perturb on the outcome of every subject that returned without error,
+// on the interpreted and the compiled path alike. Implementations must be
+// deterministic in (runSeed, subject) — never in arrival order, worker
+// identity, or wall clock — so a faulted run stays bit-identical at any
+// worker count and on either path, matching the engine's determinism
 // contract. Before may panic (contained by the engine into a *PanicError)
 // or sleep (artificial latency); Perturb may rewrite the outcome it is
 // handed (injected stage failures, corrupted communications) and returns
-// the outcome to aggregate. Outcomes pass by value — not by pointer — so
-// the nil-injector hot path never forces the outcome to escape to the
-// heap. Implementations must be safe for concurrent use: workers call them
-// in parallel.
+// the outcome to aggregate. Replay returns the rewrite Perturb would for
+// a subject the run already ran, without counting anything: trace
+// sampling re-simulates such subjects (Runner.SampleTraces). Outcomes
+// pass by value — not by pointer — so the nil-injector hot path never
+// forces the outcome to escape to the heap. Implementations must be safe
+// for concurrent use: workers call them in parallel.
 //
 // The canonical implementation is internal/faults, which parses a textual
 // fault spec into an Injector; the seam is an interface so sim does not
@@ -27,6 +30,9 @@ type Injector interface {
 	Before(runSeed int64, subject int)
 	// Perturb returns the completed subject's outcome, possibly rewritten.
 	Perturb(runSeed int64, subject int, o Outcome) Outcome
+	// Replay is Perturb for a re-simulated subject: same rewrite, no
+	// bookkeeping.
+	Replay(runSeed int64, subject int, o Outcome) Outcome
 }
 
 // injectorKey carries an Injector through a context, like telemetry's

@@ -129,13 +129,12 @@ func (p *Program) subject() SubjectFunc {
 }
 
 // RunProgram executes the compiled program under the same scheduling,
-// cancellation, panic containment, and aggregation as Run, and returns a
-// bit-identical Result. Differences from the interpreted path are only
-// observational: compiled subjects build no stage trace, so RunProgram
-// offers nothing to a telemetry.Recorder (SampleTraces samples the run's
-// subjects by replay), and agent-level fault probes never fire, so
-// faulted runs keep using Run; the scenario layer's engine selection
-// enforces both. The run's observation keys are the program's.
+// cancellation, panic containment, fault injection, and aggregation as
+// Run, and returns a bit-identical Result — faulted or not. The one
+// difference is observational: compiled subjects build no stage trace, so
+// RunProgram offers nothing to a telemetry.Recorder; SampleTraces samples
+// the run's subjects by replay. The run's observation keys are the
+// program's.
 func (ru Runner) RunProgram(ctx context.Context, p *Program) (*Result, error) {
 	if p == nil || (p.Params == nil && p.Loop == nil) {
 		return nil, fmt.Errorf("sim: nil program")

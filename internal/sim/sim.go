@@ -480,8 +480,9 @@ func (ru Runner) aggregate(shards []shard, obs columns, completed int) *Result {
 // context.Background().
 //
 // Fault injection: when ctx carries an Injector (WithInjector), it runs
-// around every subject; injectors are deterministic in (seed, subject), so
-// faulted runs keep the bit-identical-at-any-worker-count guarantee.
+// around every subject, interpreted or compiled; injectors are
+// deterministic in (seed, subject), so faulted runs keep the
+// bit-identical-at-any-worker-count guarantee.
 //
 // Telemetry: when ctx carries a telemetry.Tracer, Run opens a "run" span
 // with per-worker "worker-batch" children; when it carries a
@@ -919,14 +920,15 @@ var subjectStreams = sync.Pool{New: func() any {
 // running it: it offers subjects [offset, offset+N) — offset from
 // WithSubjectOffset — to the telemetry.Recorder on ctx, and re-simulates
 // each subject that wins a slot on the program's interpreted subject, from
-// the subject's own stream, to build its trace. Sampling priorities hash
-// the subject's identity, never its outcome, so a compiled or analytic
-// run samples exactly the traces an interpreted run of the same spec
-// does, at the cost of at most the recorder's capacity in interpreted
-// subjects. A replay is not a run: it ticks no run or subject counter and
-// adds no span or EngineReport. A replayed subject's error or contained
-// panic fails the call, as a subject error fails a run. Without a
-// recorder it does nothing.
+// the subject's own stream, to build its trace; the Injector on ctx, if
+// any, rewrites the replayed outcome as it rewrote the run's. Sampling
+// priorities hash the subject's identity, never its outcome, so a
+// compiled or analytic run samples exactly the traces an interpreted run
+// of the same spec does, at the cost of at most the recorder's capacity
+// in interpreted subjects. A replay is not a run: it ticks no run,
+// subject or fault counter and adds no span or EngineReport. A replayed
+// subject's error or contained panic fails the call, as a subject error
+// fails a run. Without a recorder it does nothing.
 func (ru Runner) SampleTraces(ctx context.Context, p *Program) error {
 	rec := telemetry.RecorderFromContext(ctx)
 	if rec == nil {
@@ -935,6 +937,7 @@ func (ru Runner) SampleTraces(ctx context.Context, p *Program) error {
 	if p == nil || p.Interpreted == nil {
 		return fmt.Errorf("sim: program has no interpreted subject to replay")
 	}
+	inj := InjectorFromContext(ctx)
 	st := subjectStreams.Get().(*subjectStream)
 	defer subjectStreams.Put(st)
 	return rec.ConsiderRange(ru.Seed, SubjectOffsetFromContext(ctx), ru.N, func(g int) (telemetry.SubjectTrace, error) {
@@ -947,6 +950,9 @@ func (ru Runner) SampleTraces(ctx context.Context, p *Program) error {
 			return telemetry.SubjectTrace{}, err
 		case err != nil:
 			return telemetry.SubjectTrace{}, fmt.Errorf("sim: subject %d: %w", g, err)
+		}
+		if inj != nil {
+			out = inj.Replay(ru.Seed, g, out)
 		}
 		return subjectTrace(ru.Seed, g, out), nil
 	})
